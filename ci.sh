@@ -78,6 +78,15 @@ JEDD_THREADS=8 JEDD_PAR_CUTOFF=64 cargo test --workspace --offline -q
 echo "==> cargo test (workspace, JEDD_CHAIN=1)"
 JEDD_CHAIN=1 cargo test --workspace --offline -q
 
+# The benchmark package (perfbench/) is a Cargo workspace of its own, so
+# the passes above never build it. Its self-tests check that every exact
+# count repeats between reps on all four workloads, that pager and store
+# counts are 0 resident and > 0 paged, and that BENCHMARK.json lists the
+# reported metrics — so a kernel API change cannot break the benchmark
+# unseen.
+echo "==> perfbench self-tests"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 # The extended differential fuzzer: more cases than the in-pass default,
 # on the sequential kernel and with 4 workers. Each run covers all four
 # decision-diagram kinds (BDD/ZDD and, via the chained suites, CBDD/CZDD)

@@ -1,96 +1,238 @@
-//! The node arena: a flat vector in resident mode, a disk-backed buffer
-//! pool ([`crate::pager::Pager`]) in paged mode.
+//! Node stores: where a manager keeps its nodes, chosen when the manager
+//! is built.
 //!
-//! This is the paging seam: every node access in `table.rs` routes
-//! through the accessors here, so `mk`, the apply caches and GC keep
-//! operating on resident frames while cold blocks fault in
-//! transparently. The two modes share node ids (`id == arena index`, so
-//! `block == id / BLOCK_NODES`); at one thread a paged manager allocates
-//! in exactly the order a resident one does, which is what makes the
-//! paged-vs-resident differential rig able to demand *id*-identical
-//! results, stronger than the tuple contract.
+//! The kernel ([`Inner`]) is generic over a [`NodeStore`], and every node
+//! access in `table.rs` and the recursions routes through the trait, so
+//! `mk`, the apply caches and GC are written once for both stores:
 //!
-//! Resident mode keeps the seed data layout (a plain `Vec<Node>`) and
-//! costs one predictable branch per access. Paged mode holds the pager
-//! behind a `Mutex` so the `&self` read paths (`one_sat`, `satcount`,
-//! enumeration, export, shape/support) can fault blocks in without any
-//! signature changes — `Inner` stays `Sync` for the parallel kernel's
-//! `thread::scope`, though paged managers keep the parallel path off by
-//! contract (mirroring chain mode).
+//! - [`Resident`] is a plain `Vec<Node>`. Its accessors are infallible
+//!   `#[inline]` indexing wrapped in `Ok`, so once monomorphised the
+//!   pre-fault hook, the sticky-error probe in `Inner::step` and the `?`
+//!   on every node read compile away. Only resident managers index
+//!   slots directly ([`Index`]/[`IndexMut`]), run the parallel engine and
+//!   reorder; those passes take `Inner<Resident>`, so the compiler keeps
+//!   paged managers out of them.
+//! - [`Paged`] is the disk-backed buffer pool ([`crate::pager::Pager`])
+//!   behind a `Mutex`, so the `&self` read paths (`one_sat`, `satcount`,
+//!   enumeration, export, shape/support) can fault blocks in without any
+//!   signature changes.
 //!
-//! Error discipline: fallible accessors (`try_*`) surface pager failures
-//! as typed `BddError::Page` values and park the full
-//! [`PageError`](crate::pager::PageError) for
-//! `BddManager::take_page_error`. Infallible accessors panic on a fault
-//! failure — they sit on API paths that have promised not to fail since
-//! the seed — after parking the error, so diagnostics survive the
-//! unwind.
+//! The two stores share node ids (`id == slot index`, so `block == id /
+//! BLOCK_NODES`); at one thread a paged manager allocates in exactly the
+//! order a resident one does, which is what makes the paged-vs-resident
+//! differential rig able to demand *id*-identical results, stronger than
+//! the tuple contract.
+//!
+//! Error discipline (paged store): fallible accessors (`try_*`) surface
+//! pager failures as typed `BddError::Page` values and park the full
+//! [`PageError`] for `BddManager::take_page_error`. Infallible accessors
+//! panic on a fault failure — they sit on API paths that have promised
+//! not to fail since the seed — after parking the error, so diagnostics
+//! survive the unwind.
 
 use crate::budget::BddError;
 use crate::node::Node;
 use crate::pager::{PageError, PageStats, Pager, PagerFaults};
-use std::ops::{Index, IndexMut};
-use std::path::{Path, PathBuf};
+use crate::table::Inner;
 use jedd_sync::{Mutex, MutexGuard};
+use std::ops::{Index, IndexMut};
+use std::path::PathBuf;
 
-pub(crate) struct Arena {
-    /// Resident-mode storage. Empty (and unused) in paged mode.
-    flat: Vec<Node>,
-    /// Paged-mode storage. `None` in resident mode.
-    paged: Option<Mutex<Pager>>,
+/// Node storage the kernel is generic over. Node ids are slot indices;
+/// slots `0` and `1` are the `FALSE` and `TRUE` terminals.
+pub(crate) trait NodeStore: Sized {
+    /// Number of slots (terminals, live and free nodes).
+    fn len(&self) -> usize;
+
+    /// Reads node `id` through a shared borrow. A paged store faults the
+    /// block in and panics on a pager failure (see module docs).
+    fn get(&self, id: usize) -> Node;
+
+    /// Fallible exclusive read: pager failures come back as typed
+    /// [`BddError::Page`] errors.
+    fn try_read(&mut self, id: usize) -> Result<Node, BddError>;
+
+    /// Fallible in-place mutation of node `id`.
+    fn try_update<R>(
+        &mut self,
+        id: usize,
+        f: impl FnOnce(&mut Node) -> R,
+    ) -> Result<R, BddError>;
+
+    /// Appends a node, returning its id. A paged store may evict to stay
+    /// within its frame budget.
+    fn try_append(&mut self, n: Node) -> Result<u32, BddError>;
+
+    /// Walks slots `from..len` mutably — the GC / rehash bulk path. A
+    /// paged store faults blocks in sequentially and panics on a pager
+    /// failure.
+    fn scan_mut(&mut self, from: usize, f: impl FnMut(usize, &mut Node));
+
+    /// Faults the blocks holding `ids` in, surfacing failures typed — the
+    /// pre-fault hook at the top of the kernel recursions.
+    fn try_fault(&mut self, ids: &[u32]) -> Result<(), BddError>;
+
+    /// The `(block, kind)` summary of a parked pager error, if any.
+    fn sticky_brief(&mut self) -> Option<(u32, &'static str)>;
+
+    /// Paging counters, for a paged store.
+    fn page_stats(&self) -> Option<PageStats>;
+
+    /// The kernel as a resident one, when it is: the gate to the passes
+    /// that index slots directly (the parallel engine, reordering).
+    fn resident_mut(inner: &mut Inner<Self>) -> Option<&mut Inner<Resident>>;
+
+    /// Reads node `id` through an exclusive borrow. Panics on a pager
+    /// failure.
+    #[inline]
+    fn read(&mut self, id: usize) -> Node {
+        match self.try_read(id) {
+            Ok(n) => n,
+            Err(e) => page_panic(&e),
+        }
+    }
+
+    /// Mutates node `id` in place. Panics on a pager failure.
+    #[inline]
+    fn update<R>(&mut self, id: usize, f: impl FnOnce(&mut Node) -> R) -> R {
+        match self.try_update(id, f) {
+            Ok(r) => r,
+            Err(e) => page_panic(&e),
+        }
+    }
+}
+
+#[cold]
+fn page_panic(e: &BddError) -> ! {
+    panic!("jedd-bdd pager failure on an infallible path: {e}");
+}
+
+/// The resident store: every node in one flat vector.
+pub(crate) struct Resident(Vec<Node>);
+
+impl Resident {
+    /// A store holding the two terminals.
+    pub(crate) fn new() -> Resident {
+        let mut nodes = Vec::with_capacity(1024);
+        nodes.push(Node::terminal()); // FALSE
+        nodes.push(Node::terminal()); // TRUE
+        Resident(nodes)
+    }
+
+    /// Appends a node, returning its id (the parallel commit).
+    #[inline]
+    pub(crate) fn push(&mut self, n: Node) -> u32 {
+        let id = self.0.len() as u32;
+        self.0.push(n);
+        id
+    }
+
+    /// Iterates the slots in id order (reordering's level scans).
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Node> {
+        self.0.iter()
+    }
+}
+
+impl NodeStore for Resident {
+    #[inline]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    fn get(&self, id: usize) -> Node {
+        self.0[id]
+    }
+
+    #[inline]
+    fn try_read(&mut self, id: usize) -> Result<Node, BddError> {
+        Ok(self.0[id])
+    }
+
+    #[inline]
+    fn try_update<R>(
+        &mut self,
+        id: usize,
+        f: impl FnOnce(&mut Node) -> R,
+    ) -> Result<R, BddError> {
+        Ok(f(&mut self.0[id]))
+    }
+
+    #[inline]
+    fn try_append(&mut self, n: Node) -> Result<u32, BddError> {
+        Ok(self.push(n))
+    }
+
+    #[inline]
+    fn scan_mut(&mut self, from: usize, mut f: impl FnMut(usize, &mut Node)) {
+        for (i, n) in self.0.iter_mut().enumerate().skip(from) {
+            f(i, n);
+        }
+    }
+
+    #[inline]
+    fn try_fault(&mut self, _ids: &[u32]) -> Result<(), BddError> {
+        Ok(())
+    }
+
+    #[inline]
+    fn sticky_brief(&mut self) -> Option<(u32, &'static str)> {
+        None
+    }
+
+    fn page_stats(&self) -> Option<PageStats> {
+        None
+    }
+
+    #[inline]
+    fn resident_mut(inner: &mut Inner<Resident>) -> Option<&mut Inner<Resident>> {
+        Some(inner)
+    }
+}
+
+impl Index<usize> for Resident {
+    type Output = Node;
+    #[inline]
+    fn index(&self, i: usize) -> &Node {
+        &self.0[i]
+    }
+}
+
+impl IndexMut<usize> for Resident {
+    #[inline]
+    fn index_mut(&mut self, i: usize) -> &mut Node {
+        &mut self.0[i]
+    }
+}
+
+/// The paged store: a disk-backed buffer pool. The pager is boxed so a
+/// manager's kernel is about the same size whichever store it holds.
+pub(crate) struct Paged {
+    pager: Box<Mutex<Pager>>,
     /// Shadow of the slot count, kept on this side of the mutex so `len`
     /// never locks.
     len: usize,
 }
 
-fn page_panic(e: &BddError) -> ! {
-    panic!("jedd-bdd pager failure on an infallible path: {e}");
-}
-
-impl Arena {
-    pub(crate) fn with_capacity(cap: usize) -> Arena {
-        Arena {
-            flat: Vec::with_capacity(cap),
-            paged: None,
-            len: 0,
-        }
-    }
-
-    /// Switches this arena to paged storage with a resident budget of
-    /// `frames` (`0` = unbounded), moving the current nodes (the two
-    /// terminals) into the pager.
-    pub(crate) fn enable_paging(
-        &mut self,
-        frames: usize,
-        dir: Option<&Path>,
-    ) -> Result<(), PageError> {
-        debug_assert!(self.paged.is_none(), "paging already enabled");
-        let mut pager = Pager::new(frames, dir)?;
-        for n in self.flat.drain(..) {
-            pager.append(n)?;
-        }
-        self.paged = Some(Mutex::new(pager));
-        Ok(())
-    }
-
-    pub(crate) fn is_paged(&self) -> bool {
-        self.paged.is_some()
-    }
-
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len
+impl Paged {
+    /// A store holding the two terminals, with a resident budget of
+    /// `frames` (`0` = unbounded) and its page file where [`Pager::new`]
+    /// puts it by default.
+    pub(crate) fn new(frames: usize) -> Result<Paged, PageError> {
+        let mut pager = Pager::new(frames, None)?;
+        pager.push_entry(Node::terminal())?; // FALSE
+        pager.push_entry(Node::terminal())?; // TRUE
+        Ok(Paged {
+            pager: Box::new(Mutex::new(pager)),
+            len: 2,
+        })
     }
 
     /// Locks the pager, recovering from poison: the pager's state is
     /// consistent after every call, so a panic elsewhere does not
     /// invalidate it.
     fn lock(&self) -> MutexGuard<'_, Pager> {
-        self.paged.as_ref().expect("arena is paged").lock()
-    }
-
-    fn pager_mut(&mut self) -> &mut Pager {
-        self.paged.as_mut().expect("arena is paged").get_mut()
+        self.pager.lock()
     }
 
     fn convert(pager: &mut Pager, e: PageError) -> BddError {
@@ -102,121 +244,77 @@ impl Arena {
         brief
     }
 
-    /// Reads node `id` through a shared borrow, faulting its block in if
-    /// cold. Panics on a pager failure (see module docs).
+    /// Takes the parked pager error (clearing it), if any.
+    pub(crate) fn take_page_error(&self) -> Option<PageError> {
+        self.lock().take_sticky()
+    }
+
+    /// Installs a pager crash-injection plan.
+    pub(crate) fn set_pager_faults(&self, faults: PagerFaults) {
+        self.lock().set_faults(faults);
+    }
+
+    /// The backing page file.
+    pub(crate) fn page_file(&self) -> PathBuf {
+        self.lock().file_path().to_path_buf()
+    }
+}
+
+impl NodeStore for Paged {
     #[inline]
-    pub(crate) fn get(&self, id: usize) -> Node {
-        match &self.paged {
-            None => self.flat[id],
-            Some(_) => {
-                let mut pager = self.lock();
-                match pager.node(id) {
-                    Ok(n) => n,
-                    Err(e) => {
-                        let brief = Self::convert(&mut pager, e);
-                        drop(pager);
-                        page_panic(&brief);
-                    }
-                }
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn get(&self, id: usize) -> Node {
+        let mut pager = self.lock();
+        match pager.entry(id) {
+            Ok(n) => n,
+            Err(e) => {
+                let brief = Self::convert(&mut pager, e);
+                drop(pager);
+                page_panic(&brief);
             }
         }
     }
 
-    /// Reads node `id` through an exclusive borrow (no lock in paged
-    /// mode). Panics on a pager failure.
     #[inline]
-    pub(crate) fn read(&mut self, id: usize) -> Node {
-        match self.try_read(id) {
-            Ok(n) => n,
-            Err(e) => page_panic(&e),
-        }
+    fn try_read(&mut self, id: usize) -> Result<Node, BddError> {
+        let pager = self.pager.get_mut();
+        pager.entry(id).map_err(|e| Self::convert(pager, e))
     }
 
-    /// Fallible exclusive read: pager failures come back as typed
-    /// [`BddError::Page`] errors.
     #[inline]
-    pub(crate) fn try_read(&mut self, id: usize) -> Result<Node, BddError> {
-        if self.paged.is_none() {
-            return Ok(self.flat[id]);
-        }
-        let pager = self.pager_mut();
-        pager.node(id).map_err(|e| Self::convert(pager, e))
-    }
-
-    /// Mutates node `id` in place. Panics on a pager failure.
-    #[inline]
-    pub(crate) fn update<R>(&mut self, id: usize, f: impl FnOnce(&mut Node) -> R) -> R {
-        match self.try_update(id, f) {
-            Ok(r) => r,
-            Err(e) => page_panic(&e),
-        }
-    }
-
-    /// Fallible in-place mutation of node `id`.
-    #[inline]
-    pub(crate) fn try_update<R>(
+    fn try_update<R>(
         &mut self,
         id: usize,
         f: impl FnOnce(&mut Node) -> R,
     ) -> Result<R, BddError> {
-        if self.paged.is_none() {
-            return Ok(f(&mut self.flat[id]));
-        }
-        let pager = self.pager_mut();
+        let pager = self.pager.get_mut();
         pager
             .with_node_mut(id, f)
             .map_err(|e| Self::convert(pager, e))
     }
 
-    /// Appends a node, returning its id. The fallible flavour `mk_raw`
-    /// uses; in paged mode appending may evict to stay within budget.
-    pub(crate) fn try_append(&mut self, n: Node) -> Result<u32, BddError> {
-        if self.paged.is_none() {
-            let id = self.flat.len() as u32;
-            self.flat.push(n);
-            self.len += 1;
-            return Ok(id);
-        }
-        let pager = self.pager_mut();
-        let id = pager.append(n).map_err(|e| Self::convert(pager, e))?;
+    #[inline]
+    fn try_append(&mut self, n: Node) -> Result<u32, BddError> {
+        let pager = self.pager.get_mut();
+        let id = pager.push_entry(n).map_err(|e| Self::convert(pager, e))?;
         self.len += 1;
         Ok(id)
     }
 
-    /// Resident-only append for paths that are contractually never paged
-    /// (manager construction, the parallel commit).
-    pub(crate) fn push_resident(&mut self, n: Node) -> u32 {
-        assert!(self.paged.is_none(), "resident append on a paged arena");
-        let id = self.flat.len() as u32;
-        self.flat.push(n);
-        self.len += 1;
-        id
-    }
-
-    /// Walks slots `from..len` mutably, faulting blocks in sequentially —
-    /// the GC / rehash bulk path. Panics on a pager failure.
-    pub(crate) fn scan_mut(&mut self, from: usize, f: &mut dyn FnMut(usize, &mut Node)) {
-        if self.paged.is_none() {
-            for (i, n) in self.flat.iter_mut().enumerate().skip(from) {
-                f(i, n);
-            }
-            return;
-        }
-        let pager = self.pager_mut();
-        if let Err(e) = pager.scan_nodes(from, f) {
+    fn scan_mut(&mut self, from: usize, mut f: impl FnMut(usize, &mut Node)) {
+        let pager = self.pager.get_mut();
+        if let Err(e) = pager.scan_nodes(from, &mut f) {
             let brief = Self::convert(pager, e);
             page_panic(&brief);
         }
     }
 
-    /// Faults the blocks holding `ids` in, surfacing failures typed — the
-    /// pre-fault seam at the top of the kernel recursions, a no-op branch
-    /// in resident mode.
     #[inline]
-    pub(crate) fn try_fault(&mut self, ids: &[u32]) -> Result<(), BddError> {
-        if self.paged.is_none() {
-            return Ok(());
-        }
+    fn try_fault(&mut self, ids: &[u32]) -> Result<(), BddError> {
         for &id in ids {
             if id > 1 {
                 self.try_read(id as usize)?;
@@ -225,63 +323,17 @@ impl Arena {
         Ok(())
     }
 
-    /// The `(block, kind)` summary of a parked pager error, if any.
     #[inline]
-    pub(crate) fn sticky_brief(&mut self) -> Option<(u32, &'static str)> {
-        match &mut self.paged {
-            None => None,
-            Some(_) => self.pager_mut().sticky_brief(),
-        }
+    fn sticky_brief(&mut self) -> Option<(u32, &'static str)> {
+        self.pager.get_mut().sticky_brief()
     }
 
-    /// Takes the parked pager error (clearing it), if any.
-    pub(crate) fn take_page_error(&self) -> Option<PageError> {
-        self.paged.as_ref().and_then(|_| self.lock().take_sticky())
+    fn page_stats(&self) -> Option<PageStats> {
+        Some(self.lock().stats())
     }
 
-    /// Installs a pager crash-injection plan. No-op in resident mode.
-    pub(crate) fn set_pager_faults(&self, faults: PagerFaults) {
-        if self.paged.is_some() {
-            self.lock().set_faults(faults);
-        }
-    }
-
-    /// Paging counters, when paged.
-    pub(crate) fn page_stats(&self) -> Option<PageStats> {
-        self.paged.as_ref().map(|_| self.lock().stats())
-    }
-
-    /// The backing page file, when paged.
-    pub(crate) fn page_file(&self) -> Option<PathBuf> {
-        self.paged
-            .as_ref()
-            .map(|_| self.lock().file_path().to_path_buf())
-    }
-
-    /// Iterates the resident storage (reorder-only; paged managers keep
-    /// reordering degraded to collection, so this never runs paged).
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Node> {
-        debug_assert!(self.paged.is_none(), "slice iteration on a paged arena");
-        self.flat.iter()
-    }
-}
-
-/// Direct slot access for the resident-only passes (reordering, the
-/// parallel commit). Paged managers never reach these: indexing an empty
-/// `flat` would panic, and the mode guards in `reorder.rs`/`par.rs`
-/// enforce the contract before any index lands.
-impl Index<usize> for Arena {
-    type Output = Node;
-    #[inline]
-    fn index(&self, i: usize) -> &Node {
-        &self.flat[i]
-    }
-}
-
-impl IndexMut<usize> for Arena {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut Node {
-        &mut self.flat[i]
+    fn resident_mut(_inner: &mut Inner<Paged>) -> Option<&mut Inner<Resident>> {
+        None
     }
 }
 
@@ -302,28 +354,24 @@ mod model_tests {
             low: i,
             high: i.wrapping_add(1),
             next: u32::MAX,
-            ext_refs: 0,
-            mark: false,
+            refs: 0,
         }
     }
 
     /// Two readers fault disjoint far-apart blocks through a two-frame
     /// pager: every interleaving of pin, fault and evict must return the
-    /// exact node written, never deadlock on the arena mutex, and leave
+    /// exact node written, never deadlock on the store mutex, and leave
     /// the happens-before ledger race-free.
     #[test]
     fn pin_evict_contention_is_exhaustively_coherent() {
         let report = model::check(Config::dfs(1), || {
-            let mut arena = Arena::with_capacity(4);
-            arena.push_resident(Node::terminal());
-            arena.push_resident(Node::terminal());
-            arena.enable_paging(2, None).expect("paging on");
+            let mut store = Paged::new(2).expect("paging on");
             // Four blocks of distinct nodes, so two frames must evict.
             let total = crate::pager::BLOCK_NODES * 4;
             for i in 2..total {
-                arena.try_append(probe_node(i as u32)).expect("append");
+                store.try_append(probe_node(i as u32)).expect("append");
             }
-            let arena = &arena;
+            let store = &store;
             jedd_sync::thread::scope(|s| {
                 for t in 0..2usize {
                     s.spawn(move || {
@@ -334,7 +382,7 @@ mod model_tests {
                             let block = if t == 0 { step } else { 3 - step };
                             let id = block * crate::pager::BLOCK_NODES
                                 + crate::pager::BLOCK_NODES / 2;
-                            let got = arena.get(id);
+                            let got = store.get(id);
                             assert_eq!(got.low, id as u32, "block {block} returned a foreign node");
                         }
                     });

@@ -36,6 +36,7 @@ use crate::manager::{run_governed, Bdd, BddManager};
 use crate::node::Permutation;
 use crate::ops::BinOp;
 use crate::par::BatchExpr;
+use crate::table::AnyInner;
 use std::rc::Rc;
 
 /// An opaque handle to one expression of a [`BddBatch`]. Only meaningful
@@ -172,11 +173,9 @@ impl BddBatch {
     /// or [`BddError::InvalidPermutation`] from a replace whose support
     /// collides under its permutation.
     pub fn try_run(&self, roots: &[BatchTerm]) -> Result<Vec<Bdd>, BddError> {
-        let par = self.mgr.inner.borrow().par_enabled();
-        let values = if par {
-            self.run_parallel()?
-        } else {
-            self.run_sequential()?
+        let values = match self.run_parallel()? {
+            Some(ids) => ids.into_iter().map(|id| self.mgr.wrap(id)).collect(),
+            None => self.run_sequential()?,
         };
         Ok(roots.iter().map(|&r| values[self.check(r)].clone()).collect())
     }
@@ -207,8 +206,15 @@ impl BddBatch {
 
     /// The parallel path: one lowered expression DAG, one kernel run,
     /// one recovery ladder around the whole batch (a mid-batch GC would
-    /// move the frozen-arena snapshot under the workers).
-    fn run_parallel(&self) -> Result<Vec<Bdd>, BddError> {
+    /// move the frozen-arena snapshot under the workers). `None` when the
+    /// manager runs sequentially: a resident one with the engine off, or
+    /// any paged one.
+    fn run_parallel(&self) -> Result<Option<Vec<u32>>, BddError> {
+        let mut cell = self.mgr.inner.borrow_mut();
+        let inner = match &mut *cell {
+            AnyInner::Resident(inner) if inner.par_enabled() => inner,
+            _ => return Ok(None),
+        };
         let exprs: Vec<BatchExpr> = self
             .terms
             .iter()
@@ -220,10 +226,7 @@ impl BddBatch {
                 Term::Replace(f, p) => BatchExpr::Replace(f, p),
             })
             .collect();
-        let ids = run_governed(&self.mgr.inner, |inner| {
-            inner.batch_run(&exprs, &self.perms)
-        })?;
-        Ok(ids.into_iter().map(|id| self.mgr.wrap(id)).collect())
+        run_governed(inner, |inner| inner.batch_run(&exprs, &self.perms)).map(Some)
     }
 }
 

@@ -1,9 +1,10 @@
 //! Model counting over a fixed variable universe.
 
+use crate::arena::NodeStore;
 use crate::table::Inner;
 use std::collections::HashMap;
 
-impl Inner {
+impl<S: NodeStore> Inner<S> {
     /// Number of satisfying assignments of `f` over all `num_vars`
     /// variables, as `f64`. Exact for counts below 2^53.
     pub(crate) fn satcount(&self, f: u32) -> f64 {

@@ -1,8 +1,9 @@
 //! Enumeration of satisfying assignments restricted to a variable list.
 
+use crate::arena::NodeStore;
 use crate::table::Inner;
 
-impl Inner {
+impl<S: NodeStore> Inner<S> {
     /// Calls `cb` once per satisfying assignment of `f` over exactly the
     /// variables in `vars` (sorted ascending). Variables of `vars` not in
     /// the support of `f` are expanded to both values, so the callback sees

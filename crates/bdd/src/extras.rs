@@ -2,12 +2,13 @@
 //! export (the visualization facility the related-work tools expose and
 //! the Jedd profiler builds on).
 
-use crate::manager::Bdd;
-use crate::table::Inner;
+use crate::arena::NodeStore;
+use crate::manager::{governed, Bdd};
+use crate::table::{with_inner, Inner};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-impl Inner {
+impl<S: NodeStore> Inner<S> {
     /// Returns one satisfying assignment as `(level, value)` pairs for the
     /// variables on the chosen path (other variables are free), or `None`
     /// if unsatisfiable.
@@ -45,7 +46,7 @@ impl Inner {
         if nvars > 127 {
             return None;
         }
-        fn rec(inner: &Inner, f: u32, memo: &mut HashMap<u32, u128>) -> u128 {
+        fn rec<S: NodeStore>(inner: &Inner<S>, f: u32, memo: &mut HashMap<u32, u128>) -> u128 {
             if f == 0 {
                 return 0;
             }
@@ -180,19 +181,19 @@ impl Bdd {
     /// the variables along a path to `true`; variables not listed are
     /// unconstrained. Returns `None` for the false BDD.
     pub fn one_sat(&self) -> Option<Vec<(u32, bool)>> {
-        self.mgr.borrow().one_sat(self.id)
+        with_inner!(ref self.mgr, |inner| inner.one_sat(self.id))
     }
 
     /// Exact satisfying-assignment count over all manager variables, or
     /// `None` when the manager has more than 127 variables.
     pub fn satcount_exact(&self) -> Option<u128> {
-        self.mgr.borrow().satcount_exact(self.id)
+        with_inner!(ref self.mgr, |inner| inner.satcount_exact(self.id))
     }
 
     /// Renders this BDD in Graphviz dot format (dashed = low/0 edge,
     /// solid = high/1 edge), for visual inspection of shapes.
     pub fn to_dot(&self, name: &str) -> String {
-        self.mgr.borrow().to_dot(self.id, name)
+        with_inner!(ref self.mgr, |inner| inner.to_dot(self.id, name))
     }
 
     /// Cofactor (BuDDy `bdd_restrict`): substitutes the given constant
@@ -213,9 +214,7 @@ impl Bdd {
     /// Returns a [`crate::BddError`] when an installed budget, deadline,
     /// cancellation token or fail plan interrupts the operation.
     pub fn try_cofactor(&self, assignment: &[(u32, bool)]) -> Result<Bdd, crate::BddError> {
-        let id = crate::manager::run_governed(&self.mgr, |inner| {
-            inner.cofactor(self.id, assignment)
-        })?;
+        let id = governed!(self.mgr, |inner| inner.cofactor(self.id, assignment))?;
         Ok(self.wrap(id))
     }
 }

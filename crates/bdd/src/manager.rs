@@ -1,9 +1,10 @@
 //! The public BDD manager and handle types.
 
+use crate::arena::{NodeStore, Paged};
 use crate::budget::{BddError, Budget, FailPlan};
 use crate::node::{NodeId, Permutation};
 use crate::ops::BinOp;
-use crate::table::{Inner, KernelStats};
+use crate::table::{with_inner, AnyInner, Inner, KernelStats};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -36,69 +37,80 @@ use std::rc::Rc;
 /// ```
 #[derive(Clone)]
 pub struct BddManager {
-    pub(crate) inner: Rc<RefCell<Inner>>,
+    pub(crate) inner: Rc<RefCell<AnyInner>>,
 }
 
 impl fmt::Debug for BddManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
+        let (num_vars, live_nodes) =
+            with_inner!(ref self.inner, |inner| (inner.num_vars(), inner.live_nodes()));
         f.debug_struct("BddManager")
-            .field("num_vars", &inner.num_vars())
-            .field("live_nodes", &inner.live_nodes())
+            .field("num_vars", &num_vars)
+            .field("live_nodes", &live_nodes)
             .finish()
     }
 }
+
+/// [`run_governed`] on the kernel inside an `Rc<RefCell<AnyInner>>`,
+/// dispatched once on its store.
+macro_rules! governed {
+    ($cell:expr, |$i:ident| $body:expr) => {
+        $crate::table::with_inner!(mut $cell, |inner| {
+            $crate::manager::run_governed(inner, |$i| $body)
+        })
+    };
+}
+pub(crate) use governed;
 
 /// Runs `op` under the installed governor with the automatic recovery
 /// ladder: on a node-limit failure, collect garbage and retry; if the limit
 /// fires again, run a sifting reorder and retry once more; only then fail.
 /// Other failures (step limit, deadline, cancellation, injected faults) are
 /// returned immediately — retrying cannot help them.
-pub(crate) fn run_governed<T>(
-    mgr: &Rc<RefCell<Inner>>,
-    mut op: impl FnMut(&mut Inner) -> Result<T, BddError>,
+pub(crate) fn run_governed<S: NodeStore, T>(
+    inner: &mut Inner<S>,
+    mut op: impl FnMut(&mut Inner<S>) -> Result<T, BddError>,
 ) -> Result<T, BddError> {
-    let mut attempt = |inner: &mut Inner| {
+    let mut attempt = |inner: &mut Inner<S>| {
         inner.begin_op();
         op(inner)
     };
     // `InvalidPermutation` is a caller mistake, not resource exhaustion:
     // it is returned as-is and never counted as a budget failure.
-    fn record_failure(inner: &mut Inner, e: BddError) -> BddError {
+    fn record_failure<S: NodeStore>(inner: &mut Inner<S>, e: BddError) -> BddError {
         if !matches!(e, BddError::InvalidPermutation { .. }) {
             inner.stats.budget_failures += 1;
         }
         e
     }
-    let mut inner = mgr.borrow_mut();
     inner.maybe_gc();
-    let e1 = match attempt(&mut inner) {
+    let e1 = match attempt(inner) {
         Ok(id) => return Ok(id),
         Err(e) => e,
     };
     if !matches!(e1, BddError::NodeLimit { .. }) {
-        return Err(record_failure(&mut inner, e1));
+        return Err(record_failure(inner, e1));
     }
     // Rung 1: a full collection may reclaim enough dead nodes. Partial
     // results of the failed attempt carry no external references, so they
     // are reclaimed here too.
     inner.stats.ladder_gc_retries += 1;
     inner.gc();
-    let e2 = match attempt(&mut inner) {
+    let e2 = match attempt(inner) {
         Ok(id) => return Ok(id),
         Err(e) => e,
     };
     if !matches!(e2, BddError::NodeLimit { .. }) {
-        return Err(record_failure(&mut inner, e2));
+        return Err(record_failure(inner, e2));
     }
     // Rung 2: sifting compacts the live nodes themselves; it suspends the
     // governor internally, since compaction must be free to allocate
     // transient nodes.
     inner.stats.ladder_reorder_retries += 1;
     inner.reorder_sift();
-    match attempt(&mut inner) {
+    match attempt(inner) {
         Ok(id) => Ok(id),
-        Err(e) => Err(record_failure(&mut inner, e)),
+        Err(e) => Err(record_failure(inner, e)),
     }
 }
 
@@ -141,8 +153,12 @@ impl BddManager {
     /// Creates a manager with `num_vars` boolean variables, at levels
     /// `0..num_vars` (level order == variable order).
     pub fn new(num_vars: usize) -> BddManager {
+        BddManager::with_kernel(AnyInner::Resident(Inner::new(num_vars as u32)))
+    }
+
+    fn with_kernel(kernel: AnyInner) -> BddManager {
         BddManager {
-            inner: Rc::new(RefCell::new(Inner::new(num_vars as u32))),
+            inner: Rc::new(RefCell::new(kernel)),
         }
     }
 
@@ -160,18 +176,17 @@ impl BddManager {
     /// building nodes instead. Parallel apply is also disabled — chain
     /// managers always run the sequential kernel.
     pub fn new_chained(num_vars: usize) -> BddManager {
-        let m = BddManager::new(num_vars);
-        m.inner
-            .borrow_mut()
+        let mut inner = Inner::new(num_vars as u32);
+        inner
             .set_chain_mode(true)
             .expect("fresh arena holds only terminals");
-        m
+        BddManager::with_kernel(AnyInner::Resident(inner))
     }
 
     /// `true` when this manager applies chain reduction (created via
     /// [`BddManager::new_chained`]).
     pub fn chain_mode(&self) -> bool {
-        self.inner.borrow().chain_mode()
+        with_inner!(ref self.inner, |inner| inner.chain_mode())
     }
 
     /// Creates a manager whose node arena is paged to disk through the
@@ -216,17 +231,15 @@ impl BddManager {
         frames: usize,
         chained: bool,
     ) -> Result<BddManager, BddError> {
-        let m = BddManager::new(num_vars);
-        {
-            let mut inner = m.inner.borrow_mut();
-            if chained {
-                inner
-                    .set_chain_mode(true)
-                    .expect("fresh arena holds only terminals");
-            }
-            inner.enable_paging(frames, None)?;
-        }
-        Ok(m)
+        let store = Paged::new(frames).map_err(|e| BddError::Page {
+            block: e.block(),
+            kind: e.kind(),
+        })?;
+        let mut inner = Inner::with_store(num_vars as u32, store);
+        inner
+            .set_chain_mode(chained)
+            .expect("fresh arena holds only terminals");
+        Ok(BddManager::with_kernel(AnyInner::Paged(inner)))
     }
 
     /// Fallible form of [`BddManager::new_paged`].
@@ -242,7 +255,7 @@ impl BddManager {
     /// `true` when this manager pages its arena to disk (created via
     /// [`BddManager::new_paged`]).
     pub fn is_paged(&self) -> bool {
-        self.inner.borrow().paged()
+        matches!(*self.inner.borrow(), AnyInner::Paged(_))
     }
 
     /// Takes the full pager error parked behind the most recent
@@ -251,18 +264,26 @@ impl BddManager {
     /// path, the decode failure class, and the underlying I/O error.
     /// Clears the parked error, un-poisoning the manager.
     pub fn take_page_error(&self) -> Option<crate::pager::PageError> {
-        self.inner.borrow().take_page_error()
+        match &*self.inner.borrow() {
+            AnyInner::Paged(inner) => inner.nodes.take_page_error(),
+            AnyInner::Resident(_) => None,
+        }
     }
 
     /// Installs a deterministic pager crash-injection plan (tests only;
     /// no-op on a resident manager). See [`crate::pager::PagerFaults`].
     pub fn set_pager_faults(&self, faults: crate::pager::PagerFaults) {
-        self.inner.borrow().set_pager_faults(faults);
+        if let AnyInner::Paged(inner) = &*self.inner.borrow() {
+            inner.nodes.set_pager_faults(faults);
+        }
     }
 
     /// The backing page file of a paged manager (`None` when resident).
     pub fn page_file(&self) -> Option<std::path::PathBuf> {
-        self.inner.borrow().page_file()
+        match &*self.inner.borrow() {
+            AnyInner::Paged(inner) => Some(inner.nodes.page_file()),
+            AnyInner::Resident(_) => None,
+        }
     }
 
     /// Faults every block of `b`'s sub-DAG into the buffer pool, reporting
@@ -275,25 +296,28 @@ impl BddManager {
     /// retrievable through [`BddManager::take_page_error`].
     pub fn try_page_in(&self, b: &Bdd) -> Result<(), BddError> {
         assert!(self.owns(b), "try_page_in: BDD from a different manager");
-        self.inner.borrow_mut().page_in(b.id)
+        match &mut *self.inner.borrow_mut() {
+            AnyInner::Paged(inner) => inner.page_in(b.id),
+            AnyInner::Resident(_) => Ok(()),
+        }
     }
 
     /// Installs a resource [`Budget`] governing all subsequent operations;
     /// `Budget::unlimited()` removes all limits.
     pub fn set_budget(&self, budget: Budget) {
-        self.inner.borrow_mut().set_budget(budget);
+        with_inner!(mut self.inner, |inner| inner.set_budget(budget));
     }
 
     /// The currently installed budget (unlimited by default).
     pub fn budget(&self) -> Budget {
-        self.inner.borrow().budget()
+        with_inner!(ref self.inner, |inner| inner.budget())
     }
 
     /// Installs (`Some`) or removes (`None`) a deterministic
     /// fault-injection plan; the plan's event counters restart either way.
     /// Intended for tests of error paths.
     pub fn set_fail_plan(&self, plan: Option<FailPlan>) {
-        self.inner.borrow_mut().set_fail_plan(plan);
+        with_inner!(mut self.inner, |inner| inner.set_fail_plan(plan));
     }
 
     /// Sets the requested worker-thread count of the parallel apply
@@ -313,13 +337,13 @@ impl BddManager {
     /// hand out fresh ids in shared-table insertion order, which depends
     /// on scheduling (see `DESIGN.md` §9).
     pub fn set_threads(&self, n: usize) {
-        self.inner.borrow_mut().set_par_threads(n);
+        with_inner!(mut self.inner, |inner| inner.set_par_threads(n));
     }
 
     /// The resolved worker-thread count (see [`BddManager::set_threads`]):
     /// a request of `0` reads back as the hardware parallelism.
     pub fn threads(&self) -> usize {
-        self.inner.borrow().par_threads()
+        with_inner!(ref self.inner, |inner| inner.par_threads())
     }
 
     /// Sets the parallel engagement cutoff: a top-level operation only
@@ -328,23 +352,23 @@ impl BddManager {
     /// clamped to >= 2. Mostly useful for tests that want to force the
     /// parallel path on small inputs.
     pub fn set_par_cutoff(&self, nodes: usize) {
-        self.inner.borrow_mut().set_par_cutoff(nodes);
+        with_inner!(mut self.inner, |inner| inner.set_par_cutoff(nodes));
     }
 
     /// The configured parallel engagement cutoff (node count).
     pub fn par_cutoff(&self) -> usize {
-        self.inner.borrow().par_cutoff()
+        with_inner!(ref self.inner, |inner| inner.par_cutoff())
     }
 
     /// Number of variables currently allocated.
     pub fn num_vars(&self) -> usize {
-        self.inner.borrow().num_vars() as usize
+        with_inner!(ref self.inner, |inner| inner.num_vars()) as usize
     }
 
     /// Allocates `n` additional variables at the bottom of the order and
     /// returns their level range.
     pub fn add_vars(&self, n: usize) -> std::ops::Range<u32> {
-        self.inner.borrow_mut().add_vars(n as u32)
+        with_inner!(mut self.inner, |inner| inner.add_vars(n as u32))
     }
 
     /// The constant `false` / empty-set BDD.
@@ -373,7 +397,7 @@ impl BddManager {
     ///
     /// Returns a [`BddError`] on budget exhaustion or injected faults.
     pub fn try_var(&self, var: u32) -> Result<Bdd, BddError> {
-        let id = run_governed(&self.inner, |inner| inner.mk_var(var))?;
+        let id = governed!(self.inner, |inner| inner.mk_var(var))?;
         Ok(self.wrap(id))
     }
 
@@ -393,7 +417,7 @@ impl BddManager {
     ///
     /// Returns a [`BddError`] on budget exhaustion or injected faults.
     pub fn try_nvar(&self, var: u32) -> Result<Bdd, BddError> {
-        let id = run_governed(&self.inner, |inner| inner.mk_nvar(var))?;
+        let id = governed!(self.inner, |inner| inner.mk_nvar(var))?;
         Ok(self.wrap(id))
     }
 
@@ -409,7 +433,7 @@ impl BddManager {
     ///
     /// Returns a [`BddError`] on budget exhaustion or injected faults.
     pub fn try_cube(&self, vars: &[u32]) -> Result<Bdd, BddError> {
-        let id = run_governed(&self.inner, |inner| inner.mk_cube(vars))?;
+        let id = governed!(self.inner, |inner| inner.mk_cube(vars))?;
         Ok(self.wrap(id))
     }
 
@@ -435,7 +459,7 @@ impl BddManager {
             "value {value} does not fit in {} bits",
             bits.len()
         );
-        let id = run_governed(&self.inner, |inner| {
+        let id = governed!(self.inner, |inner| {
             // Build bottom-up in level order for linear-time construction.
             let mut lits: Vec<(u32, bool)> = Vec::with_capacity(bits.len());
             for (i, &b) in bits.iter().enumerate() {
@@ -471,7 +495,7 @@ impl BddManager {
     /// Returns a [`BddError`] on budget exhaustion or injected faults.
     pub fn try_equal_vectors(&self, xs: &[u32], ys: &[u32]) -> Result<Bdd, BddError> {
         assert_eq!(xs.len(), ys.len(), "bit vectors must have equal length");
-        let id = run_governed(&self.inner, |inner| {
+        let id = governed!(self.inner, |inner| {
             let mut acc = NodeId::TRUE.0;
             // Conjunction built from the bottom pair upward keeps
             // intermediate BDDs small when the vectors are interleaved.
@@ -505,7 +529,7 @@ impl BddManager {
         if bits.len() < 64 && bound >= (1u64 << bits.len()) {
             return Ok(self.constant_true());
         }
-        let id = run_governed(&self.inner, |inner| {
+        let id = governed!(self.inner, |inner| {
             // Standard comparator: walk MSB to LSB accumulating "already
             // less": f = OR over positions where the bound bit is 1 of
             // (prefix equal so far) AND (bit i = 0).
@@ -533,25 +557,25 @@ impl BddManager {
     /// Total number of live nodes in the arena (all BDDs, including
     /// terminals).
     pub fn live_nodes(&self) -> usize {
-        self.inner.borrow().live_nodes()
+        with_inner!(ref self.inner, |inner| inner.live_nodes())
     }
 
     /// Number of unique-table buckets (diagnostics: the table grows to
     /// keep at most 1.5 nodes per bucket).
     pub fn unique_buckets(&self) -> usize {
-        self.inner.borrow().buckets_len()
+        with_inner!(ref self.inner, |inner| inner.buckets_len())
     }
 
     /// Forces a full garbage collection and returns the number of reclaimed
     /// nodes.
     pub fn gc(&self) -> usize {
-        self.inner.borrow_mut().gc()
+        with_inner!(mut self.inner, |inner| inner.gc())
     }
 
     /// Enables or disables automatic garbage collection (enabled by
     /// default). Useful in benchmarks that measure raw operation cost.
     pub fn set_gc_enabled(&self, enabled: bool) {
-        self.inner.borrow_mut().gc_enabled = enabled;
+        with_inner!(mut self.inner, |inner| inner.gc_enabled = enabled);
     }
 
     /// Snapshot of kernel activity counters. For paged managers this
@@ -559,7 +583,7 @@ impl BddManager {
     /// `page_writes`, `page_evictions`, `page_max_resident`) into the
     /// snapshot; resident managers report zeros there.
     pub fn kernel_stats(&self) -> KernelStats {
-        self.inner.borrow().stats_snapshot()
+        with_inner!(ref self.inner, |inner| inner.stats_snapshot())
     }
 
     /// Runs Rudell sifting: every variable is moved to its locally optimal
@@ -574,7 +598,7 @@ impl BddManager {
     /// analysis phases, not inside hot loops. It is exempt from any
     /// installed budget: compaction must be free to allocate.
     pub fn reorder_sift(&self) -> (usize, usize) {
-        self.inner.borrow_mut().reorder_sift()
+        with_inner!(mut self.inner, |inner| inner.reorder_sift())
     }
 
     /// Offline order search beyond sifting: a sift + window-3 permutation
@@ -590,13 +614,13 @@ impl BddManager {
     /// analyses. On a chain-reduced manager it degrades to a collection
     /// (chain managers are order-static).
     pub fn order_search(&self, restarts: usize, seed: u64) -> (usize, usize) {
-        self.inner.borrow_mut().order_search(restarts, seed)
+        with_inner!(mut self.inner, |inner| inner.order_search(restarts, seed))
     }
 
     /// The current variable order: the variable at each level position,
     /// top to bottom.
     pub fn current_order(&self) -> Vec<u32> {
-        self.inner.borrow().level2var.clone()
+        with_inner!(ref self.inner, |inner| inner.level2var.clone())
     }
 
     /// The level position currently holding `var`.
@@ -605,7 +629,7 @@ impl BddManager {
     ///
     /// Panics if `var` is out of range.
     pub fn level_of_var(&self, var: u32) -> u32 {
-        self.inner.borrow().level_of_var(var)
+        with_inner!(ref self.inner, |inner| inner.level_of_var(var))
     }
 
     /// Returns `true` if `a` and `b` were created by this manager.
@@ -631,7 +655,7 @@ impl BddManager {
     /// the length does not match the variable count, or the order is not a
     /// permutation of the variables.
     pub fn set_order(&self, level2var: &[u32]) -> Result<(), BddError> {
-        self.inner.borrow_mut().set_order(level2var)
+        with_inner!(mut self.inner, |inner| inner.set_order(level2var))
     }
 
     /// Serializes the sub-DAGs under `roots` as a children-first node
@@ -649,52 +673,7 @@ impl BddManager {
         for b in roots {
             assert!(self.owns(b), "export_nodes: root from a different manager");
         }
-        let inner = self.inner.borrow();
-        let mut slot: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        slot.insert(0, 0);
-        slot.insert(1, 1);
-        let mut out: Vec<ExportedNode> = Vec::new();
-        let mut stack: Vec<(u32, bool)> = Vec::new();
-        for b in roots {
-            stack.push((b.id, false));
-            while let Some((id, expanded)) = stack.pop() {
-                if slot.contains_key(&id) {
-                    continue;
-                }
-                let (low, high) = (inner.low(id), inner.high(id));
-                if expanded {
-                    // A chain node expands to its plain spine: the decision
-                    // node at `bot`, then one `(next, FALSE)` node per chain
-                    // level walking back up to `level`. Plain nodes have an
-                    // empty interval and emit exactly one entry, so plain
-                    // managers export byte-identical tables. The id maps to
-                    // the topmost spine slot.
-                    let top = inner.level(id);
-                    let bot = inner.bot(id);
-                    out.push(ExportedNode {
-                        var: inner.var_at_level(bot),
-                        low: slot[&low],
-                        high: slot[&high],
-                    });
-                    let mut acc = out.len() as u32 + 1;
-                    for l in (top..bot).rev() {
-                        out.push(ExportedNode {
-                            var: inner.var_at_level(l),
-                            low: acc,
-                            high: 0,
-                        });
-                        acc = out.len() as u32 + 1;
-                    }
-                    slot.insert(id, acc);
-                } else {
-                    stack.push((id, true));
-                    stack.push((high, false));
-                    stack.push((low, false));
-                }
-            }
-        }
-        let root_slots = roots.iter().map(|b| slot[&b.id]).collect();
-        (out, root_slots)
+        with_inner!(ref self.inner, |inner| export_table(inner, roots))
     }
 
     /// Rebuilds the BDDs described by a node table from
@@ -723,8 +702,8 @@ impl BddManager {
     ) -> Result<Vec<Bdd>, BddError> {
         const TERMINAL: u32 = u32::MAX;
         {
-            let inner = self.inner.borrow();
-            let num_vars = inner.num_vars();
+            let var2level = with_inner!(ref self.inner, |inner| inner.var2level.clone());
+            let num_vars = var2level.len() as u32;
             let mut levels: Vec<u32> = Vec::with_capacity(nodes.len());
             for (i, n) in nodes.iter().enumerate() {
                 let index = i as u32;
@@ -734,7 +713,7 @@ impl BddManager {
                         reason: "variable out of range",
                     });
                 }
-                let level = inner.level_of_var(n.var);
+                let level = var2level[n.var as usize];
                 for child in [n.low, n.high] {
                     if child as usize >= i + 2 {
                         return Err(BddError::InvalidImport {
@@ -777,7 +756,7 @@ impl BddManager {
         // attempt carry no external references, so the ladder's GC reclaims
         // them before the retry re-interns from scratch).
         let mut ids: Vec<u32> = Vec::with_capacity(nodes.len() + 2);
-        run_governed(&self.inner, |inner| {
+        governed!(self.inner, |inner| {
             ids.clear();
             ids.push(0);
             ids.push(1);
@@ -794,12 +773,61 @@ impl BddManager {
     }
 
     pub(crate) fn wrap(&self, id: u32) -> Bdd {
-        self.inner.borrow_mut().inc_ref(id);
+        with_inner!(mut self.inner, |inner| inner.inc_ref(id));
         Bdd {
             mgr: Rc::clone(&self.inner),
             id,
         }
     }
+}
+
+/// The body of [`BddManager::export_nodes`], generic over the store.
+fn export_table<S: NodeStore>(inner: &Inner<S>, roots: &[&Bdd]) -> (Vec<ExportedNode>, Vec<u32>) {
+    let mut slot: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+    slot.insert(0, 0);
+    slot.insert(1, 1);
+    let mut out: Vec<ExportedNode> = Vec::new();
+    let mut stack: Vec<(u32, bool)> = Vec::new();
+    for b in roots {
+        stack.push((b.id, false));
+        while let Some((id, expanded)) = stack.pop() {
+            if slot.contains_key(&id) {
+                continue;
+            }
+            let (low, high) = (inner.low(id), inner.high(id));
+            if expanded {
+                // A chain node expands to its plain spine: the decision
+                // node at `bot`, then one `(next, FALSE)` node per chain
+                // level walking back up to `level`. Plain nodes have an
+                // empty interval and emit exactly one entry, so plain
+                // managers export byte-identical tables. The id maps to
+                // the topmost spine slot.
+                let top = inner.level(id);
+                let bot = inner.bot(id);
+                out.push(ExportedNode {
+                    var: inner.var_at_level(bot),
+                    low: slot[&low],
+                    high: slot[&high],
+                });
+                let mut acc = out.len() as u32 + 1;
+                for l in (top..bot).rev() {
+                    out.push(ExportedNode {
+                        var: inner.var_at_level(l),
+                        low: acc,
+                        high: 0,
+                    });
+                    acc = out.len() as u32 + 1;
+                }
+                slot.insert(id, acc);
+            } else {
+                stack.push((id, true));
+                stack.push((high, false));
+                stack.push((low, false));
+            }
+        }
+    }
+    let root_slots = roots.iter().map(|b| slot[&b.id]).collect();
+    (out, root_slots)
 }
 
 /// A handle to a BDD node, keeping the node (and everything it reaches)
@@ -809,13 +837,13 @@ impl BddManager {
 /// canonical node identity, so it is constant time — the property the paper
 /// relies on for relation comparison (§2.2.1).
 pub struct Bdd {
-    pub(crate) mgr: Rc<RefCell<Inner>>,
+    pub(crate) mgr: Rc<RefCell<AnyInner>>,
     pub(crate) id: u32,
 }
 
 impl Clone for Bdd {
     fn clone(&self) -> Bdd {
-        self.mgr.borrow_mut().inc_ref(self.id);
+        with_inner!(mut self.mgr, |inner| inner.inc_ref(self.id));
         Bdd {
             mgr: Rc::clone(&self.mgr),
             id: self.id,
@@ -825,7 +853,7 @@ impl Clone for Bdd {
 
 impl Drop for Bdd {
     fn drop(&mut self) {
-        self.mgr.borrow_mut().dec_ref(self.id);
+        with_inner!(mut self.mgr, |inner| inner.dec_ref(self.id));
     }
 }
 
@@ -862,12 +890,12 @@ impl Bdd {
 
     fn try_binop(&self, other: &Bdd, op: BinOp) -> Result<Bdd, BddError> {
         self.check_same_mgr(other);
-        let id = run_governed(&self.mgr, |inner| inner.apply(op, self.id, other.id))?;
+        let id = governed!(self.mgr, |inner| inner.apply(op, self.id, other.id))?;
         Ok(self.wrap(id))
     }
 
     pub(crate) fn wrap(&self, id: u32) -> Bdd {
-        self.mgr.borrow_mut().inc_ref(id);
+        with_inner!(mut self.mgr, |inner| inner.inc_ref(id));
         Bdd {
             mgr: Rc::clone(&self.mgr),
             id,
@@ -978,7 +1006,7 @@ impl Bdd {
     ///
     /// Returns a [`BddError`] on budget exhaustion or injected faults.
     pub fn try_not(&self) -> Result<Bdd, BddError> {
-        let id = run_governed(&self.mgr, |inner| inner.not(self.id))?;
+        let id = governed!(self.mgr, |inner| inner.not(self.id))?;
         Ok(self.wrap(id))
     }
 
@@ -995,7 +1023,7 @@ impl Bdd {
     pub fn try_ite(&self, g: &Bdd, h: &Bdd) -> Result<Bdd, BddError> {
         self.check_same_mgr(g);
         self.check_same_mgr(h);
-        let id = run_governed(&self.mgr, |inner| inner.ite(self.id, g.id, h.id))?;
+        let id = governed!(self.mgr, |inner| inner.ite(self.id, g.id, h.id))?;
         Ok(self.wrap(id))
     }
 
@@ -1013,7 +1041,7 @@ impl Bdd {
     /// Returns a [`BddError`] on budget exhaustion or injected faults.
     pub fn try_exists(&self, cube: &Bdd) -> Result<Bdd, BddError> {
         self.check_same_mgr(cube);
-        let id = run_governed(&self.mgr, |inner| inner.exists(self.id, cube.id))?;
+        let id = governed!(self.mgr, |inner| inner.exists(self.id, cube.id))?;
         Ok(self.wrap(id))
     }
 
@@ -1030,7 +1058,7 @@ impl Bdd {
     /// Returns a [`BddError`] on budget exhaustion or injected faults.
     pub fn try_forall(&self, cube: &Bdd) -> Result<Bdd, BddError> {
         self.check_same_mgr(cube);
-        let id = run_governed(&self.mgr, |inner| inner.forall(self.id, cube.id))?;
+        let id = governed!(self.mgr, |inner| inner.forall(self.id, cube.id))?;
         Ok(self.wrap(id))
     }
 
@@ -1049,7 +1077,7 @@ impl Bdd {
     pub fn try_and_exists(&self, other: &Bdd, cube: &Bdd) -> Result<Bdd, BddError> {
         self.check_same_mgr(other);
         self.check_same_mgr(cube);
-        let id = run_governed(&self.mgr, |inner| {
+        let id = governed!(self.mgr, |inner| {
             inner.and_exists(self.id, other.id, cube.id)
         })?;
         Ok(self.wrap(id))
@@ -1072,7 +1100,7 @@ impl Bdd {
     /// Returns a [`BddError`] on budget exhaustion or injected faults.
     pub fn try_is_subset(&self, other: &Bdd) -> Result<bool, BddError> {
         self.check_same_mgr(other);
-        let id = run_governed(&self.mgr, |inner| {
+        let id = governed!(self.mgr, |inner| {
             inner
                 .subset(self.id, other.id)
                 .map(|r| if r { NodeId::TRUE.0 } else { NodeId::FALSE.0 })
@@ -1118,7 +1146,7 @@ impl Bdd {
     /// range; other [`BddError`] variants on budget exhaustion or injected
     /// faults.
     pub fn try_replace(&self, perm: &Permutation) -> Result<Bdd, BddError> {
-        let id = run_governed(&self.mgr, |inner| inner.replace(self.id, perm))?;
+        let id = governed!(self.mgr, |inner| inner.replace(self.id, perm))?;
         Ok(self.wrap(id))
     }
 
@@ -1132,24 +1160,24 @@ impl Bdd {
     ///
     /// Same contract as [`Bdd::try_replace`].
     pub fn try_replace_rebuild(&self, perm: &Permutation) -> Result<Bdd, BddError> {
-        let id = run_governed(&self.mgr, |inner| inner.replace_rebuild(self.id, perm))?;
+        let id = governed!(self.mgr, |inner| inner.replace_rebuild(self.id, perm))?;
         Ok(self.wrap(id))
     }
 
     /// Number of satisfying assignments over all manager variables.
     pub fn satcount(&self) -> f64 {
-        self.mgr.borrow().satcount(self.id)
+        with_inner!(ref self.mgr, |inner| inner.satcount(self.id))
     }
 
     /// Number of satisfying assignments counting only the given variables
     /// (which must include the support).
     pub fn satcount_over(&self, vars: &[u32]) -> f64 {
-        self.mgr.borrow().satcount_over(self.id, vars)
+        with_inner!(ref self.mgr, |inner| inner.satcount_over(self.id, vars))
     }
 
     /// Number of decision nodes in this BDD (terminals excluded).
     pub fn node_count(&self) -> usize {
-        self.mgr.borrow().node_count(self.id)
+        with_inner!(ref self.mgr, |inner| inner.node_count(self.id))
     }
 
     /// The canonical root node id inside this BDD's manager.
@@ -1164,12 +1192,12 @@ impl Bdd {
 
     /// Nodes per level — the "shape" plotted by the Jedd profiler (§4.3).
     pub fn shape(&self) -> Vec<usize> {
-        self.mgr.borrow().shape(self.id)
+        with_inner!(ref self.mgr, |inner| inner.shape(self.id))
     }
 
     /// The sorted set of variables this BDD depends on.
     pub fn support(&self) -> Vec<u32> {
-        self.mgr.borrow().support(self.id)
+        with_inner!(ref self.mgr, |inner| inner.support(self.id))
     }
 
     /// `true` if this is the constant false/empty BDD (`0B` in Jedd).
@@ -1190,7 +1218,7 @@ impl Bdd {
     ///
     /// Panics if the support is not contained in `vars`.
     pub fn foreach_sat(&self, vars: &[u32], mut cb: impl FnMut(&[bool]) -> bool) {
-        self.mgr.borrow().foreach_sat(self.id, vars, &mut cb);
+        with_inner!(ref self.mgr, |inner| inner.foreach_sat(self.id, vars, &mut cb));
     }
 
     /// Collects all satisfying assignments over `vars` as bit vectors.

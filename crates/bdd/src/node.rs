@@ -64,9 +64,11 @@ pub(crate) const NIL: u32 = u32::MAX;
 ///
 /// Nodes are hash-consed: for a given `(level, bot, low, high)` quadruple at
 /// most one live node exists. The `next` field chains nodes within a
-/// unique-table bucket, and `ext_refs` counts external [`crate::Bdd`]
-/// handles pinning the node (internal sharing is not counted; garbage
-/// collection marks from the externally referenced roots).
+/// unique-table bucket, and the low 31 bits of `refs` count external
+/// [`crate::Bdd`] handles pinning the node (internal sharing is not
+/// counted; garbage collection marks from the externally referenced
+/// roots). Bit 31 of `refs` is the collector's mark bit, which keeps the
+/// node at six words: 24 bytes, 2.67 nodes per 64-byte cache line.
 ///
 /// `bot` is the chain interval's bottom level (Bryant's chain reduction,
 /// TACAS 2018). A plain reduced node has `bot == level`. In a chain-mode
@@ -75,18 +77,32 @@ pub(crate) const NIL: u32 = u32::MAX;
 /// chain node. Managers with chain reduction off never create `bot >
 /// level` nodes, so plain BDDs are exactly the `bot == level` degenerate
 /// case and existing node ids are unchanged.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Node {
+///
+/// The pager stores this exact layout on disk (one little-endian word per
+/// field) and exports it as [`crate::pager::BlockEntry`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Node {
+    /// Decision level (top of the chain interval), or a terminal/free
+    /// sentinel.
     pub level: u32,
+    /// Bottom of the chain interval (`== level` for plain nodes).
     pub bot: u32,
+    /// Low child id (or free-list link for freed slots).
     pub low: u32,
+    /// High child id.
     pub high: u32,
+    /// Unique-table chain link.
     pub next: u32,
-    pub ext_refs: u32,
-    pub mark: bool,
+    /// External reference count in the low 31 bits, the mark-and-sweep GC
+    /// bit in bit 31 ([`Node::MARK_BIT`]).
+    pub refs: u32,
 }
 
 impl Node {
+    /// The GC mark bit inside [`Node::refs`]; external reference counts
+    /// never approach 2^31.
+    pub const MARK_BIT: u32 = 1 << 31;
+
     pub(crate) fn terminal() -> Node {
         Node {
             level: TERMINAL_LEVEL,
@@ -94,9 +110,20 @@ impl Node {
             low: NIL,
             high: NIL,
             next: NIL,
-            ext_refs: 1,
-            mark: false,
+            refs: 1,
         }
+    }
+
+    /// The external reference count (the refs word without the mark bit).
+    #[inline]
+    pub fn ext_refs(&self) -> u32 {
+        self.refs & !Node::MARK_BIT
+    }
+
+    /// `true` when the collection in progress has marked this node live.
+    #[inline]
+    pub fn marked(&self) -> bool {
+        self.refs & Node::MARK_BIT != 0
     }
 }
 
@@ -231,6 +258,13 @@ impl Permutation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_is_six_words() {
+        assert_eq!(std::mem::size_of::<Node>(), 24);
+        assert_eq!(Node::terminal().ext_refs(), 1);
+        assert!(!Node::terminal().marked());
+    }
 
     #[test]
     fn terminal_ids() {

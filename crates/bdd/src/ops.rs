@@ -1,5 +1,6 @@
 //! Binary and ternary boolean operations on the node table.
 
+use crate::arena::NodeStore;
 use crate::budget::BddError;
 use crate::node::NodeId;
 use crate::table::{CacheOp, Inner};
@@ -94,7 +95,7 @@ impl BinOp {
     }
 }
 
-impl Inner {
+impl<S: NodeStore> Inner<S> {
     /// Top-level entry for binary operations: routes large operands to the
     /// parallel apply engine (when `JEDD_THREADS` >= 2) and everything
     /// else to the sequential recursion. The engagement decision — probe
@@ -102,13 +103,12 @@ impl Inner {
     /// is identical for every thread count.
     pub(crate) fn apply(&mut self, op: BinOp, a: u32, b: u32) -> Result<u32, BddError> {
         self.record_op_shape(&[a, b]);
-        if self.par_enabled()
-            && op.terminal_case(a, b).is_none()
-            && self.probe_at_least(&[a, b], self.par_cutoff())
-        {
-            match self.par_run(crate::par::Job::Bin(op), a, b, self.num_vars())? {
-                crate::par::ParAttempt::Done(r) => return Ok(r),
-                crate::par::ParAttempt::Fallback => {}
+        if let Some(r) = S::resident_mut(self).filter(|r| r.par_enabled()) {
+            if op.terminal_case(a, b).is_none() && r.probe_at_least(&[a, b], r.par_cutoff()) {
+                match r.par_run(crate::par::Job::Bin(op), a, b, r.num_vars())? {
+                    crate::par::ParAttempt::Done(r) => return Ok(r),
+                    crate::par::ParAttempt::Fallback => {}
+                }
             }
         }
         self.apply_rec(op, a, b)

@@ -5,12 +5,12 @@
 //! the page file. The per-node payload is the `jedd-store` snapshot
 //! triple (`level`/`low`/`high`, see `jedd_store::snapshot`) extended
 //! with the in-arena bookkeeping words the snapshot format strips —
-//! `bot` (chain interval), `next` (unique-table chain) and
-//! `ext_refs`+`mark` (GC state) — so unique-table chains and collection
-//! marks survive eviction mid-operation and a paged arena remains an
-//! incremental snapshot of itself. The header frames the payload with the
-//! same CRC32 the snapshot and log formats use, so a torn page write is a
-//! typed decode error, never a silently wrong node.
+//! `bot` (chain interval), `next` (unique-table chain) and `refs`
+//! (external count plus GC mark bit) — so unique-table chains and
+//! collection marks survive eviction mid-operation and a paged arena
+//! remains an incremental snapshot of itself. The header frames the
+//! payload with the same CRC32 the snapshot and log formats use, so a
+//! torn page write is a typed decode error, never a silently wrong node.
 //!
 //! Layout (all little-endian `u32`):
 //!
@@ -38,33 +38,11 @@ pub const BLOCK_BYTES: usize = HEADER_BYTES + BLOCK_NODES * ENTRY_BYTES;
 const MAGIC: u32 = u32::from_le_bytes(*b"JPGB");
 const VERSION: u32 = 1;
 
-/// The `mark` GC bit is packed into the high bit of the `ext_refs` word;
-/// external reference counts never approach 2^31.
-const MARK_BIT: u32 = 1 << 31;
-
-/// One decoded node slot: the snapshot triple plus bookkeeping words.
-///
-/// This is the public mirror of the kernel's internal `Node` struct, so
-/// codec property tests can build batches without access to kernel
-/// internals.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlockEntry {
-    /// Decision level (top of the chain interval), or a terminal/free
-    /// sentinel.
-    pub level: u32,
-    /// Bottom of the chain interval (`== level` for plain nodes).
-    pub bot: u32,
-    /// Low child id (or free-list link for freed slots).
-    pub low: u32,
-    /// High child id.
-    pub high: u32,
-    /// Unique-table chain link.
-    pub next: u32,
-    /// External reference count.
-    pub ext_refs: u32,
-    /// Mark-and-sweep GC bit.
-    pub mark: bool,
-}
+/// One node slot, in the kernel's own layout: the snapshot triple plus
+/// bookkeeping words, with the GC mark in the top bit of the refs word.
+/// Encoding writes the six words as they are, so the on-disk entry and
+/// the in-memory node are one format.
+pub use crate::node::Node as BlockEntry;
 
 /// Why a block failed to decode. Every corruption class is a distinct
 /// typed case so the pager (and through it `jedd-store`) can report what
@@ -141,19 +119,17 @@ fn get_u32(bytes: &[u8], at: usize) -> u32 {
 ///
 /// # Panics
 ///
-/// Panics if `entries` holds more than [`BLOCK_NODES`] slots or a mark
-/// bit collides with an impossible reference count (debug builds).
+/// Panics if `entries` holds more than [`BLOCK_NODES`] slots.
 pub fn encode_block(index: u32, entries: &[BlockEntry]) -> Vec<u8> {
     assert!(entries.len() <= BLOCK_NODES, "block overflow");
     let mut payload = Vec::with_capacity(entries.len() * ENTRY_BYTES);
     for e in entries {
-        debug_assert!(e.ext_refs & MARK_BIT == 0, "ext_refs overflow into mark bit");
         put_u32(&mut payload, e.level);
         put_u32(&mut payload, e.bot);
         put_u32(&mut payload, e.low);
         put_u32(&mut payload, e.high);
         put_u32(&mut payload, e.next);
-        put_u32(&mut payload, e.ext_refs | if e.mark { MARK_BIT } else { 0 });
+        put_u32(&mut payload, e.refs);
     }
     let mut out = Vec::with_capacity(BLOCK_BYTES);
     put_u32(&mut out, MAGIC);
@@ -211,15 +187,13 @@ pub fn decode_block(index: u32, bytes: &[u8]) -> Result<Vec<BlockEntry>, BlockEr
     }
     let mut entries = Vec::with_capacity(payload.len() / ENTRY_BYTES);
     for chunk in payload.chunks_exact(ENTRY_BYTES) {
-        let refs_word = get_u32(chunk, 20);
         entries.push(BlockEntry {
             level: get_u32(chunk, 0),
             bot: get_u32(chunk, 4),
             low: get_u32(chunk, 8),
             high: get_u32(chunk, 12),
             next: get_u32(chunk, 16),
-            ext_refs: refs_word & !MARK_BIT,
-            mark: refs_word & MARK_BIT != 0,
+            refs: get_u32(chunk, 20),
         });
     }
     Ok(entries)

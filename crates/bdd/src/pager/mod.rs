@@ -197,30 +197,6 @@ pub struct Pager {
     sticky: Option<PageError>,
 }
 
-fn entry_of(n: &Node) -> BlockEntry {
-    BlockEntry {
-        level: n.level,
-        bot: n.bot,
-        low: n.low,
-        high: n.high,
-        next: n.next,
-        ext_refs: n.ext_refs,
-        mark: n.mark,
-    }
-}
-
-fn node_of(e: &BlockEntry) -> Node {
-    Node {
-        level: e.level,
-        bot: e.bot,
-        low: e.low,
-        high: e.high,
-        next: e.next,
-        ext_refs: e.ext_refs,
-        mark: e.mark,
-    }
-}
-
 impl Pager {
     /// Opens a fresh pager with a resident budget of `budget` frames
     /// (`0` = unbounded). The page file lives under `dir` when given,
@@ -383,20 +359,6 @@ impl Pager {
     ///
     /// Fault-in failures: I/O errors and corrupt (torn) blocks.
     pub fn entry(&mut self, id: usize) -> Result<BlockEntry, PageError> {
-        self.node(id).map(|n| entry_of(&n))
-    }
-
-    /// Appends a node slot, growing the tail block (or starting a new
-    /// one), and returns its id.
-    ///
-    /// # Errors
-    ///
-    /// Fault-in failures when the tail block is cold.
-    pub fn push_entry(&mut self, e: BlockEntry) -> Result<u32, PageError> {
-        self.append(node_of(&e))
-    }
-
-    pub(crate) fn node(&mut self, id: usize) -> Result<Node, PageError> {
         debug_assert!(id < self.len, "node id {id} out of range {}", self.len);
         let block = id / BLOCK_NODES;
         self.ensure_resident(block)?;
@@ -420,7 +382,13 @@ impl Pager {
         }
     }
 
-    pub(crate) fn append(&mut self, n: Node) -> Result<u32, PageError> {
+    /// Appends a node slot, growing the tail block (or starting a new
+    /// one), and returns its id.
+    ///
+    /// # Errors
+    ///
+    /// Fault-in failures when the tail block is cold.
+    pub fn push_entry(&mut self, n: BlockEntry) -> Result<u32, PageError> {
         let id = self.len;
         let block = id / BLOCK_NODES;
         if id.is_multiple_of(BLOCK_NODES) {
@@ -514,7 +482,7 @@ impl Pager {
         self.stats.page_faults += 1;
         self.stats.page_reads += 1;
         self.slots[block] = Slot::Resident(Frame {
-            nodes: entries.iter().map(node_of).collect(),
+            nodes: entries,
             pins: 0,
             referenced: true,
         });
@@ -580,11 +548,10 @@ impl Pager {
     }
 
     fn write_block(&mut self, block: usize) -> Result<(), PageError> {
-        let entries: Vec<BlockEntry> = match &self.slots[block] {
-            Slot::Resident(f) => f.nodes.iter().map(entry_of).collect(),
+        let bytes = match &self.slots[block] {
+            Slot::Resident(f) => encode_block(block as u32, &f.nodes),
             Slot::OnDisk => unreachable!("only resident frames are written"),
         };
-        let bytes = encode_block(block as u32, &entries);
         let offset = block as u64 * BLOCK_BYTES as u64;
         self.stats.page_writes += 1;
         let io_err = |op: &'static str, path: &Path| {

@@ -62,6 +62,7 @@
 //! arena. The kernel (allocator, shard maps, caches) is operation-local
 //! and dropped — or fully committed — before any GC can observe it.
 
+use crate::arena::NodeStore;
 use crate::budget::{BddError, Budget, CancelToken, PermutationFlaw};
 use crate::node::{Permutation, NIL};
 use crate::ops::BinOp;
@@ -1025,11 +1026,11 @@ impl Inner {
     pub(crate) fn par_enabled(&self) -> bool {
         // Chain-reduced managers always take the sequential path: the
         // frozen-table worker protocol hashes plain triples and cannot
-        // intern chain tails created by cofactoring. Paged managers do
-        // too: workers read the frozen master arena lock-free through
-        // direct slot references, which a faulting buffer pool cannot
-        // hand out.
-        self.par_threads() >= 2 && !self.chain_mode() && !self.paged()
+        // intern chain tails created by cofactoring. (Paged managers
+        // never get here: workers read the frozen master arena lock-free
+        // through direct slot references, which only `Inner<Resident>`
+        // hands out.)
+        self.par_threads() >= 2 && !self.chain_mode()
     }
 
     /// Resolves the worker count for one parallel operation against the

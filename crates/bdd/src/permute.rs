@@ -11,18 +11,24 @@
 //! oracle for property tests and the baseline for the `replace_cost`
 //! bench.
 
+use crate::arena::NodeStore;
 use crate::budget::{BddError, PermutationFlaw};
 use crate::node::Permutation;
 use crate::table::{CacheOp, Inner};
 use std::collections::HashMap;
 
-impl Inner {
+impl<S: NodeStore> Inner<S> {
     /// Checks that `perm` is injective on the support of `f` and maps it
     /// inside the variable range. Must run before any recursion: an
     /// out-of-range target would otherwise index past `var2level`.
     fn validate_replace(&self, f: u32, perm: &Permutation) -> Result<(), BddError> {
-        let support = self.support(f);
-        let mut targets: Vec<u32> = support.iter().map(|&v| perm.apply(v)).collect();
+        let mut targets: Vec<u32> = self
+            .support_levels(f)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &on)| on)
+            .map(|(l, _)| perm.apply(self.var_at_level(l as u32)))
+            .collect();
         targets.sort_unstable();
         for w in targets.windows(2) {
             if w[0] == w[1] {
@@ -62,7 +68,7 @@ impl Inner {
         self.record_op_shape(&[f]);
         self.validate_replace(f, perm)?;
         let pid = self.intern_permutation(perm);
-        if self.par_enabled() {
+        if let Some(r) = S::resident_mut(self).filter(|r| r.par_enabled()) {
             // Splitting must stay above every level a moved variable can
             // come from or go to; above that boundary the permutation is
             // the identity, so the combine at a split level is a plain
@@ -70,11 +76,11 @@ impl Inner {
             let limit = perm
                 .pairs()
                 .iter()
-                .map(|&(from, to)| self.level_of_var(from).min(self.level_of_var(to)))
+                .map(|&(from, to)| r.level_of_var(from).min(r.level_of_var(to)))
                 .min()
                 .unwrap_or(0);
-            if limit >= 2 && self.probe_at_least(&[f], self.par_cutoff()) {
-                match self.par_run(crate::par::Job::Replace { perm, pid }, f, 0, limit)? {
+            if limit >= 2 && r.probe_at_least(&[f], r.par_cutoff()) {
+                match r.par_run(crate::par::Job::Replace { perm, pid }, f, 0, limit)? {
                     crate::par::ParAttempt::Done(r) => return Ok(r),
                     crate::par::ParAttempt::Fallback => {}
                 }

@@ -1,6 +1,7 @@
 //! Existential/universal quantification and the fused and-exists
 //! ("relational product") used to implement Jedd's composition operator.
 
+use crate::arena::NodeStore;
 use crate::budget::BddError;
 use crate::node::NodeId;
 use crate::ops::BinOp;
@@ -9,7 +10,7 @@ use crate::table::{CacheOp, Inner};
 const F: u32 = NodeId::FALSE.0;
 const T: u32 = NodeId::TRUE.0;
 
-impl Inner {
+impl<S: NodeStore> Inner<S> {
     /// Top-level entry for existential quantification: routes large
     /// operands to the parallel apply engine, everything else to the
     /// sequential recursion. The cube is pre-skipped above `f`'s top level
@@ -18,18 +19,18 @@ impl Inner {
     /// keeps every master-phase combine a plain `mk`.
     pub(crate) fn exists(&mut self, f: u32, cube: u32) -> Result<u32, BddError> {
         self.record_op_shape(&[f]);
-        if self.par_enabled() && f > 1 && cube > 1 {
-            let lf = self.level(f);
+        if let Some(r) = S::resident_mut(self).filter(|r| r.par_enabled() && f > 1 && cube > 1) {
+            let lf = r.level(f);
             let mut c = cube;
-            while c != T && self.level(c) < lf {
-                c = self.high(c);
+            while c != T && r.level(c) < lf {
+                c = r.high(c);
             }
             if c == T {
                 return Ok(f);
             }
-            let limit = self.level(c);
-            if limit >= 2 && self.probe_at_least(&[f], self.par_cutoff()) {
-                match self.par_run(crate::par::Job::Exists { cube: c }, f, 0, limit)? {
+            let limit = r.level(c);
+            if limit >= 2 && r.probe_at_least(&[f], r.par_cutoff()) {
+                match r.par_run(crate::par::Job::Exists { cube: c }, f, 0, limit)? {
                     crate::par::ParAttempt::Done(r) => return Ok(r),
                     crate::par::ParAttempt::Fallback => {}
                 }
@@ -93,19 +94,21 @@ impl Inner {
     /// the cache keys coincide).
     pub(crate) fn and_exists(&mut self, f: u32, g: u32, cube: u32) -> Result<u32, BddError> {
         self.record_op_shape(&[f, g]);
-        if self.par_enabled() && f > 1 && g > 1 && cube > 1 {
-            let m = self.level(f).min(self.level(g));
+        if let Some(r) =
+            S::resident_mut(self).filter(|r| r.par_enabled() && f > 1 && g > 1 && cube > 1)
+        {
+            let m = r.level(f).min(r.level(g));
             let mut c = cube;
-            while c != T && self.level(c) < m {
-                c = self.high(c);
+            while c != T && r.level(c) < m {
+                c = r.high(c);
             }
             if c == T {
-                return self.apply(BinOp::And, f, g);
+                return r.apply(BinOp::And, f, g);
             }
-            let limit = self.level(c);
-            if limit >= 2 && self.probe_at_least(&[f, g], self.par_cutoff()) {
+            let limit = r.level(c);
+            if limit >= 2 && r.probe_at_least(&[f, g], r.par_cutoff()) {
                 let (f2, g2) = if f > g { (g, f) } else { (f, g) };
-                match self.par_run(crate::par::Job::AndExists { cube: c }, f2, g2, limit)? {
+                match r.par_run(crate::par::Job::AndExists { cube: c }, f2, g2, limit)? {
                     crate::par::ParAttempt::Done(r) => return Ok(r),
                     crate::par::ParAttempt::Fallback => {}
                 }

@@ -8,10 +8,46 @@
 //! boolean function it denoted, so external [`crate::Bdd`] handles and the
 //! operation cache stay valid throughout.
 
+use crate::arena::{NodeStore, Resident};
 use crate::node::{FREE_LEVEL, TERMINAL_LEVEL};
 use crate::table::Inner;
 
-impl Inner {
+impl<S: NodeStore> Inner<S> {
+    /// Sifts every variable to its locally optimal position (see
+    /// [`Inner::sift`]). Returns the node count before and after.
+    ///
+    /// Only a resident store reorders: the swap passes index slots
+    /// directly, and level geometry rewrites on a paged store would have
+    /// to stream every on-disk block through the pool per swap. A paged
+    /// manager is order-static and degrades to a collection, like chain
+    /// mode.
+    pub(crate) fn reorder_sift(&mut self) -> (usize, usize) {
+        match S::resident_mut(self) {
+            Some(r) => r.sift(),
+            None => self.collect_instead_of_reorder(),
+        }
+    }
+
+    /// Offline order search (see [`Inner::search_order`]); a collection on
+    /// a paged manager, like [`Inner::reorder_sift`].
+    pub(crate) fn order_search(&mut self, restarts: usize, seed: u64) -> (usize, usize) {
+        match S::resident_mut(self) {
+            Some(r) => r.search_order(restarts, seed),
+            None => self.collect_instead_of_reorder(),
+        }
+    }
+
+    /// What reordering degrades to on an order-static manager: a full
+    /// collection (the recovery ladder still gets its compaction).
+    /// Returns the live decision-node count, before and after alike.
+    fn collect_instead_of_reorder(&mut self) -> (usize, usize) {
+        self.gc();
+        let n = self.live_nodes() - 2;
+        (n, n)
+    }
+}
+
+impl Inner<Resident> {
     /// Swaps the variables at `level` and `level + 1`.
     ///
     /// In-place Rudell swap: nodes at `level` that depend on the lower
@@ -138,20 +174,15 @@ impl Inner {
     ///
     /// Must be called at a safe point (no recursion in flight); external
     /// handles stay valid.
-    pub(crate) fn reorder_sift(&mut self) -> (usize, usize) {
+    fn sift(&mut self) -> (usize, usize) {
         // A chain-mode manager is order-static: chain intervals are
         // contiguous level ranges, and an adjacent swap would have to
         // split every chain crossing the boundary. Reordering degrades to
-        // a collection (the recovery ladder still gets its compaction);
-        // order *search* runs offline on plain managers and is applied to
-        // chain managers through `set_order` before any node exists.
-        // Paged managers are order-static too: the swap passes index the
-        // arena slice directly, and level geometry rewrites would have to
-        // stream every on-disk block through the pool per swap.
-        if self.chain_mode() || self.paged() {
-            self.gc();
-            let n = self.live_nodes() - 2;
-            return (n, n);
+        // a collection; order *search* runs offline on plain managers and
+        // is applied to chain managers through `set_order` before any
+        // node exists.
+        if self.chain_mode() {
+            return self.collect_instead_of_reorder();
         }
         // Reordering is a compaction pass: it must be able to allocate
         // transient nodes even when the arena is over budget, so the
@@ -314,13 +345,11 @@ impl Inner {
     /// the live decision-node count before and after. Deterministic for a
     /// given `seed` and arena.
     ///
-    /// On a chain-mode or paged manager this degrades to a collection,
-    /// like [`Inner::reorder_sift`]: those managers are order-static.
-    pub(crate) fn order_search(&mut self, restarts: usize, seed: u64) -> (usize, usize) {
-        if self.chain_mode() || self.paged() {
-            self.gc();
-            let n = self.live_decision_nodes();
-            return (n, n);
+    /// On a chain-mode manager this degrades to a collection, like
+    /// [`Inner::sift`]: chain managers are order-static.
+    fn search_order(&mut self, restarts: usize, seed: u64) -> (usize, usize) {
+        if self.chain_mode() {
+            return self.collect_instead_of_reorder();
         }
         let was_suspended = self.governor_suspended();
         self.suspend_governor(true);

@@ -1,10 +1,8 @@
 //! The node arena, unique table, operation cache and garbage collector.
 
-use crate::arena::Arena;
+use crate::arena::{NodeStore, Paged, Resident};
 use crate::budget::{BddError, Budget, FailPlan};
 use crate::node::{Node, NodeId, Permutation, FREE_LEVEL, NIL, TERMINAL_LEVEL};
-use crate::pager::{PageError, PagerFaults};
-use std::path::{Path, PathBuf};
 
 /// Operation tags used as part of cache keys.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -200,9 +198,10 @@ impl KernelStats {
     }
 }
 
-/// Mutable kernel state shared by all handles of one manager.
-pub(crate) struct Inner {
-    pub(crate) nodes: Arena,
+/// Mutable kernel state shared by all handles of one manager, generic
+/// over where its nodes live (see [`crate::arena`]).
+pub(crate) struct Inner<S = Resident> {
+    pub(crate) nodes: S,
     /// Unique-table bucket heads; chained through `Node::next`.
     buckets: Vec<u32>,
     bucket_mask: usize,
@@ -261,13 +260,34 @@ pub(crate) struct Inner {
     /// operation through the sequential kernel and treats its variable
     /// order as static (reordering degrades to a collection).
     chain: bool,
-    /// Disk-backed paging (see [`crate::pager`]). Like chain mode, only
-    /// settable on an arena holding nothing but terminals; a paged manager
-    /// routes every operation through the sequential kernel and keeps its
-    /// variable order static. Cached outside the arena so the per-step
-    /// sticky-error probe costs one branch for resident managers.
-    paged: bool,
 }
+
+/// A manager's kernel with its store chosen at construction: the one
+/// runtime dispatch point, taken once per public call (see
+/// `with_inner!`).
+pub(crate) enum AnyInner {
+    Resident(Inner<Resident>),
+    Paged(Inner<Paged>),
+}
+
+/// Runs `$body` with `$i` bound to the kernel inside an
+/// `Rc<RefCell<AnyInner>>`, borrowed shared (`ref`) or exclusively
+/// (`mut`). The body is compiled once per store type.
+macro_rules! with_inner {
+    (ref $cell:expr, |$i:ident| $body:expr) => {
+        match &*$cell.borrow() {
+            $crate::table::AnyInner::Resident($i) => $body,
+            $crate::table::AnyInner::Paged($i) => $body,
+        }
+    };
+    (mut $cell:expr, |$i:ident| $body:expr) => {
+        match &mut *$cell.borrow_mut() {
+            $crate::table::AnyInner::Resident($i) => $body,
+            $crate::table::AnyInner::Paged($i) => $body,
+        }
+    };
+}
+pub(crate) use with_inner;
 
 const INITIAL_BUCKETS: usize = 1 << 12;
 const INITIAL_CACHE: usize = 1 << 14;
@@ -314,11 +334,94 @@ pub(crate) fn node_hash(level: u32, bot: u32, low: u32, high: u32) -> u64 {
     h
 }
 
-impl Inner {
+impl Inner<Resident> {
+    /// A resident kernel over `num_vars` variables.
     pub(crate) fn new(num_vars: u32) -> Inner {
-        let mut nodes = Arena::with_capacity(1024);
-        nodes.push_resident(Node::terminal()); // FALSE
-        nodes.push_resident(Node::terminal()); // TRUE
+        Inner::with_store(num_vars, Resident::new())
+    }
+
+    /// Lock-free probe of the unique table for `(level, low, high)`,
+    /// used by parallel workers against the *frozen* master arena (no
+    /// mutation happens while workers run, so the immutable chain walk is
+    /// safe to share). Touches no counters — workers keep their own hit
+    /// statistics and merge them after the join.
+    pub(crate) fn lookup_frozen(&self, level: u32, low: u32, high: u32) -> Option<u32> {
+        // The parallel engine never runs on a chain-mode manager, so the
+        // probe is always for a plain `bot == level` node.
+        let h = node_hash(level, level, low, high) as usize & self.bucket_mask;
+        let mut cur = self.buckets[h];
+        while cur != NIL {
+            let n = &self.nodes[cur as usize];
+            if n.level == level && n.low == low && n.high == high {
+                return Some(cur);
+            }
+            cur = n.next;
+        }
+        None
+    }
+
+    /// Commits the node block minted by a parallel operation: appends the
+    /// triples to the arena in id order and chains each into its unique
+    /// table bucket. The ids the workers handed out were `base + i` in
+    /// reservation order, so the arena length must equal `base` on entry
+    /// — the commit is what makes those ids real. No duplicate search is
+    /// needed: workers dedup against both the frozen master table and
+    /// each other before reserving an id, so every committed triple is
+    /// distinct from everything already in the table.
+    pub(crate) fn commit_par_nodes(
+        &mut self,
+        base: u32,
+        triples: impl Iterator<Item = (u32, u32, u32)>,
+    ) -> u64 {
+        debug_assert_eq!(
+            self.nodes.len() as u32,
+            base,
+            "parallel commit: arena moved under a running operation"
+        );
+        let mut count = 0u64;
+        for (level, low, high) in triples {
+            let h = node_hash(level, level, low, high) as usize & self.bucket_mask;
+            let next = self.buckets[h];
+            let id = self.nodes.push(Node {
+                level,
+                bot: level,
+                low,
+                high,
+                next,
+                refs: 0,
+            });
+            self.buckets[h] = id;
+            count += 1;
+        }
+        self.stats.nodes_created += count;
+        if !self.in_swap {
+            self.maybe_grow_buckets();
+        }
+        count
+    }
+}
+
+impl Inner<Paged> {
+    /// Faults in every block of the sub-DAG under `root`, surfacing read
+    /// failures typed: the explicit "warm this relation" hook (and the
+    /// test hook that turns a corrupted on-disk block into a typed error
+    /// on demand).
+    pub(crate) fn page_in(&mut self, root: u32) -> Result<(), BddError> {
+        let mut walk = DagWalk::new(self.nodes.len(), &[root]);
+        while let Some(id) = walk.next() {
+            let n = self.nodes.try_read(id as usize)?;
+            walk.push(n.low);
+            walk.push(n.high);
+        }
+        Ok(())
+    }
+}
+
+impl<S: NodeStore> Inner<S> {
+    /// A kernel over `num_vars` variables whose nodes live in `nodes`
+    /// (a store holding just the two terminals).
+    pub(crate) fn with_store(num_vars: u32, nodes: S) -> Inner<S> {
+        debug_assert_eq!(nodes.len(), 2, "a fresh store holds the terminals");
         Inner {
             nodes,
             buckets: vec![NIL; INITIAL_BUCKETS],
@@ -349,7 +452,6 @@ impl Inner {
                 .unwrap_or(1),
             par_cutoff: env_usize("JEDD_PAR_CUTOFF").unwrap_or(DEFAULT_PAR_CUTOFF).max(2),
             chain: false,
-            paged: false,
         }
     }
 
@@ -373,82 +475,13 @@ impl Inner {
         Ok(())
     }
 
-    /// `true` when this manager pages its arena to disk.
-    pub(crate) fn paged(&self) -> bool {
-        self.paged
-    }
-
-    /// Switches the arena to disk-backed paging with a resident budget of
-    /// `frames` (`0` = unbounded). Like [`Inner::set_chain_mode`], only
-    /// legal while the arena holds nothing but the two terminals: paging
-    /// an already-populated flat arena would need a bulk spill pass this
-    /// kernel deliberately does not grow (managers decide their storage
-    /// mode at construction).
-    pub(crate) fn enable_paging(
-        &mut self,
-        frames: usize,
-        dir: Option<&Path>,
-    ) -> Result<(), BddError> {
-        if self.live_nodes() != 2 {
-            return Err(BddError::InvalidImport {
-                index: 0,
-                reason: "paging requires an arena holding only terminals",
-            });
-        }
-        self.nodes.enable_paging(frames, dir).map_err(|e| BddError::Page {
-            block: e.block(),
-            kind: e.kind(),
-        })?;
-        self.paged = self.nodes.is_paged();
-        Ok(())
-    }
-
     /// Faults the blocks holding `ids` in before a recursion descends, so
     /// cold operands surface fault-in failures (torn pages, I/O errors) as
-    /// typed errors at the governed entry instead of panics mid-walk. Free
-    /// for resident managers.
+    /// typed errors at the governed entry instead of panics mid-walk.
+    /// Compiles to nothing for resident managers.
     #[inline]
     pub(crate) fn prefault(&mut self, ids: &[u32]) -> Result<(), BddError> {
-        if !self.paged {
-            return Ok(());
-        }
         self.nodes.try_fault(ids)
-    }
-
-    /// Faults in every block of the sub-DAG under `root`, surfacing read
-    /// failures typed. A no-op for resident managers; for paged ones this
-    /// is the explicit "warm this relation" hook (and the test hook that
-    /// turns a corrupted on-disk block into a typed error on demand).
-    pub(crate) fn page_in(&mut self, root: u32) -> Result<(), BddError> {
-        if !self.paged {
-            return Ok(());
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if id <= 1 || !seen.insert(id) {
-                continue;
-            }
-            let n = self.nodes.try_read(id as usize)?;
-            stack.push(n.low);
-            stack.push(n.high);
-        }
-        Ok(())
-    }
-
-    /// Takes the full parked pager error, if any (see `BddError::Page`).
-    pub(crate) fn take_page_error(&self) -> Option<PageError> {
-        self.nodes.take_page_error()
-    }
-
-    /// Installs a pager crash-injection plan (no-op for resident managers).
-    pub(crate) fn set_pager_faults(&self, faults: PagerFaults) {
-        self.nodes.set_pager_faults(faults);
-    }
-
-    /// The backing page file of a paged manager.
-    pub(crate) fn page_file(&self) -> Option<PathBuf> {
-        self.nodes.page_file()
     }
 
     /// The kernel counters with the pager's counters merged in (they live
@@ -537,22 +570,14 @@ impl Inner {
     /// Deterministic for a given master table, which keeps the parallel
     /// engagement decision independent of thread count.
     pub(crate) fn probe_at_least(&self, roots: &[u32], threshold: usize) -> bool {
-        let mut seen = std::collections::HashSet::with_capacity(threshold.min(1 << 16));
-        let mut stack: Vec<u32> = roots.iter().copied().filter(|&r| r > 1).collect();
-        while let Some(id) = stack.pop() {
-            if !seen.insert(id) {
-                continue;
-            }
-            if seen.len() >= threshold {
+        let mut walk = DagWalk::new(self.nodes.len(), roots);
+        while let Some(id) = walk.next() {
+            if walk.visited() >= threshold {
                 return true;
             }
             let n = self.nodes.get(id as usize);
-            if n.low > 1 {
-                stack.push(n.low);
-            }
-            if n.high > 1 {
-                stack.push(n.high);
-            }
+            walk.push(n.low);
+            walk.push(n.high);
         }
         false
     }
@@ -605,13 +630,11 @@ impl Inner {
     /// per-node fast path.
     #[inline]
     pub(crate) fn step(&mut self) -> Result<(), BddError> {
-        if self.paged {
-            // A parked pager error (a failed eviction write) poisons the
-            // manager: every governed operation reports it until the host
-            // takes the full error and rebuilds.
-            if let Some((block, kind)) = self.nodes.sticky_brief() {
-                return Err(BddError::Page { block, kind });
-            }
+        // A parked pager error (a failed eviction write) poisons a paged
+        // manager: every governed operation reports it until the host
+        // takes the full error and rebuilds. Resident stores never park.
+        if let Some((block, kind)) = self.nodes.sticky_brief() {
+            return Err(BddError::Page { block, kind });
         }
         if !self.checks_active {
             return Ok(());
@@ -848,8 +871,7 @@ impl Inner {
                 low,
                 high,
                 next,
-                ext_refs: 0,
-                mark: false,
+                refs: 0,
             };
         })?;
         self.buckets[h] = id;
@@ -915,67 +937,6 @@ impl Inner {
         self.stats.op_span_samples += 1;
     }
 
-    /// Lock-free probe of the unique table for `(level, low, high)`,
-    /// used by parallel workers against the *frozen* master arena (no
-    /// mutation happens while workers run, so the immutable chain walk is
-    /// safe to share). Touches no counters — workers keep their own hit
-    /// statistics and merge them after the join.
-    pub(crate) fn lookup_frozen(&self, level: u32, low: u32, high: u32) -> Option<u32> {
-        // The parallel engine never runs on a chain-mode manager, so the
-        // probe is always for a plain `bot == level` node.
-        let h = node_hash(level, level, low, high) as usize & self.bucket_mask;
-        let mut cur = self.buckets[h];
-        while cur != NIL {
-            let n = &self.nodes[cur as usize];
-            if n.level == level && n.low == low && n.high == high {
-                return Some(cur);
-            }
-            cur = n.next;
-        }
-        None
-    }
-
-    /// Commits the node block minted by a parallel operation: appends the
-    /// triples to the arena in id order and chains each into its unique
-    /// table bucket. The ids the workers handed out were `base + i` in
-    /// reservation order, so the arena length must equal `base` on entry
-    /// — the commit is what makes those ids real. No duplicate search is
-    /// needed: workers dedup against both the frozen master table and
-    /// each other before reserving an id, so every committed triple is
-    /// distinct from everything already in the table.
-    pub(crate) fn commit_par_nodes(
-        &mut self,
-        base: u32,
-        triples: impl Iterator<Item = (u32, u32, u32)>,
-    ) -> u64 {
-        debug_assert_eq!(
-            self.nodes.len() as u32,
-            base,
-            "parallel commit: arena moved under a running operation"
-        );
-        let mut count = 0u64;
-        for (level, low, high) in triples {
-            let h = node_hash(level, level, low, high) as usize & self.bucket_mask;
-            let next = self.buckets[h];
-            let id = self.nodes.push_resident(Node {
-                level,
-                bot: level,
-                low,
-                high,
-                next,
-                ext_refs: 0,
-                mark: false,
-            });
-            self.buckets[h] = id;
-            count += 1;
-        }
-        self.stats.nodes_created += count;
-        if !self.in_swap {
-            self.maybe_grow_buckets();
-        }
-        count
-    }
-
     /// Grows the unique table if the load factor exceeds 1.5 nodes per
     /// bucket. Called by `mk` outside swaps, and again at the end of each
     /// adjacent-level swap to run the growth that `in_swap` deferred.
@@ -1022,7 +983,7 @@ impl Inner {
         self.bucket_mask = new_len - 1;
         let mask = self.bucket_mask;
         let buckets = &mut self.buckets;
-        self.nodes.scan_mut(0, &mut |i, n| {
+        self.nodes.scan_mut(0, |i, n| {
             if n.level == TERMINAL_LEVEL || n.level == FREE_LEVEL {
                 return;
             }
@@ -1109,7 +1070,7 @@ impl Inner {
     /// Only meaningful between the GC mark and sweep phases.
     #[inline]
     fn node_survives(&self, id: u32) -> bool {
-        id <= 1 || self.nodes.get(id as usize).mark
+        id <= 1 || self.nodes.get(id as usize).marked()
     }
 
     /// Sweep-style cache invalidation: drops exactly the entries that
@@ -1148,7 +1109,10 @@ impl Inner {
 
     #[inline]
     pub(crate) fn inc_ref(&mut self, id: u32) {
-        self.nodes.update(id as usize, |n| n.ext_refs += 1);
+        self.nodes.update(id as usize, |n| {
+            debug_assert!(n.ext_refs() < Node::MARK_BIT - 1, "ext_refs overflow into mark bit");
+            n.refs += 1;
+        });
     }
 
     #[inline]
@@ -1158,8 +1122,8 @@ impl Inner {
         // only leaks the node — it stays conservatively live — and the
         // underlying error is parked for `take_page_error`.
         let _ = self.nodes.try_update(id as usize, |n| {
-            debug_assert!(n.ext_refs > 0, "dec_ref on node with zero refcount");
-            n.ext_refs -= 1;
+            debug_assert!(n.ext_refs() > 0, "dec_ref on node with zero refcount");
+            n.refs -= 1;
         });
     }
 
@@ -1183,17 +1147,17 @@ impl Inner {
         // streams blocks through the buffer pool here; marks written into
         // evicted frames persist on disk through the block format.
         let mut stack: Vec<u32> = Vec::new();
-        self.nodes.scan_mut(2, &mut |i, n| {
-            if n.level != FREE_LEVEL && n.ext_refs > 0 && !n.mark {
+        self.nodes.scan_mut(2, |i, n| {
+            if n.level != FREE_LEVEL && n.ext_refs() > 0 && !n.marked() {
                 stack.push(i as u32);
             }
         });
         while let Some(id) = stack.pop() {
             let children = self.nodes.update(id as usize, |n| {
-                if n.mark || n.level == TERMINAL_LEVEL {
+                if n.marked() || n.level == TERMINAL_LEVEL {
                     None
                 } else {
-                    n.mark = true;
+                    n.refs |= Node::MARK_BIT;
                     Some((n.low, n.high))
                 }
             });
@@ -1216,13 +1180,13 @@ impl Inner {
         let buckets = &mut self.buckets;
         let free_head = &mut self.free_head;
         let free_count = &mut self.free_count;
-        self.nodes.scan_mut(2, &mut |i, node| {
+        self.nodes.scan_mut(2, |i, node| {
             if node.level == FREE_LEVEL {
                 return;
             }
-            if node.mark {
+            if node.marked() {
                 let h = node_hash(node.level, node.bot, node.low, node.high) as usize & mask;
-                node.mark = false;
+                node.refs &= !Node::MARK_BIT;
                 node.next = buckets[h];
                 buckets[h] = i as u32;
             } else {
@@ -1268,60 +1232,110 @@ impl Inner {
 
     /// Node count of the sub-DAG rooted at `root` (excluding terminals).
     pub(crate) fn node_count(&self, root: u32) -> usize {
-        if root <= 1 {
-            return 0;
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if id <= 1 || !seen.insert(id) {
-                continue;
-            }
+        let mut walk = DagWalk::new(self.nodes.len(), &[root]);
+        while let Some(id) = walk.next() {
             let n = self.nodes.get(id as usize);
-            stack.push(n.low);
-            stack.push(n.high);
+            walk.push(n.low);
+            walk.push(n.high);
         }
-        seen.len()
+        walk.visited()
     }
 
     /// Nodes per level for the sub-DAG rooted at `root`.
     pub(crate) fn shape(&self, root: u32) -> Vec<usize> {
         let mut out = vec![0usize; self.num_vars as usize];
-        if root <= 1 {
-            return out;
-        }
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if id <= 1 || !seen.insert(id) {
-                continue;
-            }
+        let mut walk = DagWalk::new(self.nodes.len(), &[root]);
+        while let Some(id) = walk.next() {
             let n = self.nodes.get(id as usize);
             out[n.level as usize] += 1;
-            stack.push(n.low);
-            stack.push(n.high);
+            walk.push(n.low);
+            walk.push(n.high);
         }
         out
+    }
+
+    /// Per-level flags of the sub-DAG rooted at `root`: `true` at every
+    /// level some node tests. A chain node depends on every level of its
+    /// interval.
+    pub(crate) fn support_levels(&self, root: u32) -> Vec<bool> {
+        let mut levels = vec![false; self.num_vars as usize];
+        let mut walk = DagWalk::new(self.nodes.len(), &[root]);
+        while let Some(id) = walk.next() {
+            let n = self.nodes.get(id as usize);
+            levels[n.level as usize..=n.bot as usize].fill(true);
+            walk.push(n.low);
+            walk.push(n.high);
+        }
+        levels
     }
 
     /// The set of variables appearing in the sub-DAG rooted at `root`,
     /// sorted by variable index.
     pub(crate) fn support(&self, root: u32) -> Vec<u32> {
-        let mut vars = std::collections::BTreeSet::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if id <= 1 || !seen.insert(id) {
-                continue;
-            }
-            let n = self.nodes.get(id as usize);
-            // A chain node depends on every variable in its interval.
-            for l in n.level..=n.bot {
-                vars.insert(self.var_at_level(l));
-            }
-            stack.push(n.low);
-            stack.push(n.high);
+        let mut vars: Vec<u32> = self
+            .support_levels(root)
+            .iter()
+            .enumerate()
+            .filter(|&(_, &on)| on)
+            .map(|(l, _)| self.var_at_level(l as u32))
+            .collect();
+        vars.sort_unstable();
+        vars
+    }
+}
+
+/// Depth-first walk over the internal nodes of a sub-DAG, visiting each
+/// node once: a visited bitset over the slot range plus an explicit
+/// stack. The caller reads each node the walk hands out and
+/// [`DagWalk::push`]es its children; terminals are never visited.
+pub(crate) struct DagWalk {
+    seen: Vec<u64>,
+    stack: Vec<u32>,
+    visited: usize,
+}
+
+impl DagWalk {
+    /// A walk from `roots` over a store of `len` slots.
+    pub(crate) fn new(len: usize, roots: &[u32]) -> DagWalk {
+        let mut walk = DagWalk {
+            seen: vec![0; len.div_ceil(64)],
+            stack: Vec::new(),
+            visited: 0,
+        };
+        for &r in roots {
+            walk.push(r);
         }
-        vars.into_iter().collect()
+        walk
+    }
+
+    /// Queues `id` unless it is a terminal.
+    #[inline]
+    pub(crate) fn push(&mut self, id: u32) {
+        if id > 1 {
+            self.stack.push(id);
+        }
+    }
+
+    /// Distinct nodes handed out so far.
+    pub(crate) fn visited(&self) -> usize {
+        self.visited
+    }
+}
+
+impl Iterator for DagWalk {
+    type Item = u32;
+
+    /// The next node not yet visited, now marked visited.
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        while let Some(id) = self.stack.pop() {
+            let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+            if self.seen[word] & bit == 0 {
+                self.seen[word] |= bit;
+                self.visited += 1;
+                return Some(id);
+            }
+        }
+        None
     }
 }

@@ -9,7 +9,7 @@ use jedd_bdd::pager::{
     BLOCK_BYTES, BLOCK_NODES, ENTRY_BYTES, HEADER_BYTES,
 };
 use jedd_bdd::rng::XorShift64Star;
-use jedd_bdd::{Bdd, BddError, BddManager};
+use jedd_bdd::{Bdd, BddError, BddManager, Permutation};
 
 fn random_entry(rng: &mut XorShift64Star) -> BlockEntry {
     BlockEntry {
@@ -18,9 +18,8 @@ fn random_entry(rng: &mut XorShift64Star) -> BlockEntry {
         low: rng.next_u64() as u32,
         high: rng.next_u64() as u32,
         next: rng.next_u64() as u32,
-        // The mark bit shares the ext_refs word, so counts stay below 2^31.
-        ext_refs: rng.next_u64() as u32 & 0x7fff_ffff,
-        mark: rng.next_u64() & 1 == 1,
+        // The whole refs word round-trips, mark bit (bit 31) included.
+        refs: rng.next_u64() as u32,
     }
 }
 
@@ -124,8 +123,7 @@ fn fill_blocks(pager: &mut Pager, blocks: usize) {
             low: !(id as u32),
             high: id as u32 ^ 0x5555_5555,
             next: id as u32 ^ 0xaaaa_aaaa,
-            ext_refs: (id % 7) as u32,
-            mark: id % 3 == 0,
+            refs: (id % 7) as u32 | if id % 3 == 0 { BlockEntry::MARK_BIT } else { 0 },
         };
         assert_eq!(pager.push_entry(e).expect("push"), id as u32);
     }
@@ -313,6 +311,65 @@ fn paged_managers_match_resident_at_any_cache_size() {
             assert_eq!(stats.page_evictions, 0, "unbounded budget never evicts");
         }
     }
+}
+
+/// The operation mix of the paged contract test, with every parallel
+/// entry point (binary apply, quantification, relational product,
+/// replace) and either a sifting reorder or a plain collection halfway.
+/// Returns the results and what the reorder (or collection) reported.
+fn par_and_reorder_mix(m: &BddManager, sift: bool) -> (Vec<Bdd>, (usize, usize)) {
+    let bits: Vec<u32> = (0..NVARS as u32).collect();
+    let mut rng = XorShift64Star::new(0x5eed);
+    let a = build_set(m, &bits, &random_values(&mut rng, 120));
+    let b = build_set(m, &bits, &random_values(&mut rng, 120));
+    let cube = m.cube(&bits[..6]);
+    let mut out = vec![a.or(&b), a.exists(&cube), a.and_exists(&b, &cube)];
+    let swept = if sift {
+        m.reorder_sift()
+    } else {
+        m.gc();
+        let live = m.live_nodes() - 2;
+        (live, live)
+    };
+    out.push(out[0].diff(&out[1]));
+    out.push(a.replace(&Permutation::from_pairs(&[(0, 1), (1, 0)])));
+    (out, swept)
+}
+
+/// The paged contract the store split enforces at compile time: the
+/// parallel engine and reordering exist only for resident managers. A
+/// paged manager asked for four workers and a sifting reorder runs every
+/// operation on the sequential kernel and collects instead of sifting, so
+/// it stays id-identical to a resident one-thread manager that collects.
+#[test]
+fn paged_managers_never_run_parallel_or_reorder() {
+    let resident = BddManager::new(NVARS);
+    resident.set_threads(1);
+    let (expect, expect_swept) = par_and_reorder_mix(&resident, false);
+    for frames in [4usize, 0] {
+        let paged = BddManager::new_paged(NVARS, frames);
+        paged.set_threads(4);
+        paged.set_par_cutoff(2);
+        let (got, swept) = par_and_reorder_mix(&paged, true);
+        let stats = paged.kernel_stats();
+        assert_eq!(stats.par_ops, 0, "frames {frames}: a paged manager ran in parallel");
+        assert_eq!(stats.sift_sweeps, 0, "frames {frames}: a paged manager sifted");
+        assert_eq!(swept, expect_swept, "frames {frames}: reorder must be a collection");
+        assert_eq!(got.len(), expect.len());
+        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(g.root_id(), e.root_id(), "frames {frames}: result {i} id");
+            assert_eq!(g.satcount_exact(), e.satcount_exact(), "frames {frames}: result {i}");
+        }
+    }
+    // The same settings do engage both on a resident manager, so the
+    // zeros above are the store's doing.
+    let engaged = BddManager::new(NVARS);
+    engaged.set_threads(4);
+    engaged.set_par_cutoff(2);
+    let _ = par_and_reorder_mix(&engaged, true);
+    let stats = engaged.kernel_stats();
+    assert!(stats.par_ops > 0, "resident threads=4 must engage the parallel engine");
+    assert!(stats.sift_sweeps > 0, "resident reorder_sift must sift");
 }
 
 #[test]

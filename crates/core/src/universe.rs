@@ -68,7 +68,9 @@ struct AttrInfo {
 #[derive(Debug)]
 struct PhysDomInfo {
     name: String,
-    /// BDD levels, most significant bit first.
+    /// BDD variable indices, most significant bit first. These are not
+    /// level positions: once `set_order` or a learned order is installed,
+    /// a variable's level is `BddManager::level_of_var` of it.
     bits: Vec<u32>,
     /// True for scratch domains allocated on demand by the dynamic API.
     anonymous: bool,
